@@ -56,19 +56,21 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------
-    # 3. Morsel-parallel execution traced: workers and morsel counts.
+    # 3. A traced vectorized execution: span tree and operator actuals.
     # ------------------------------------------------------------------
-    parallel = session.prepare(
-        join, executor="parallel", num_workers=2, trace=True
-    )
-    parallel.execute()
+    engine.clear_result_cache()  # so the traced run really executes
+    traced = session.prepare(join, executor="vectorized", trace=True)
+    traced.execute()
     trace = engine.last_trace()
-    print("span tree of the traced parallel execution:")
+    print("span tree of the traced vectorized execution:")
     for span in trace["children"]:
-        print(f"  {span['name']}: {sorted(span['attrs'])}")
-    print()
-    print("EXPLAIN ANALYZE under the parallel executor:")
-    print(parallel.explain(analyze=True))
+        attrs = span.get("attrs", {})
+        print(f"  {span['name']}: {sorted(attrs)}")
+        for record in attrs.get("operators", ()):
+            print(
+                f"    {record['operator']}: "
+                f"{record['rows_in']} rows in, {record['rows_out']} out"
+            )
     print()
 
     # ------------------------------------------------------------------

@@ -723,21 +723,6 @@ def plan_cost(
     return sum(estimate(node, stats, _memo).cost() for node in plan.walk())
 
 
-def morsel_count(rows: float, morsel_size: int) -> int:
-    """Number of fixed-size morsels covering *rows* estimated rows.
-
-    The physical layer's parallelism decision (see
-    :func:`repro.physical.lower.lower`) morselizes an operator only when
-    its probe input spans more than one morsel; ``explain(physical=True)``
-    renders this count per operator.
-    """
-    if morsel_size < 1:
-        raise ValueError(f"morsel_size must be >= 1, got {morsel_size}")
-    if rows <= 0:
-        return 0
-    return int(-(-rows // morsel_size))
-
-
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------

@@ -17,8 +17,8 @@ time, structurally:
   of a c-table's conditions is covered by its domain metadata;
 - **interning** — every condition/predicate sub-formula is the canonical
   node of the hash-consing table (the "structural equality ⇒ identity"
-  invariant the morsel-parallel executor and the ``is``-keyed memos
-  rely on);
+  invariant the ``is``-keyed memos of the physical operators rely on,
+  including when one session is shared across threads);
 - **conjunct-conservation** — a rewrite neither drops nor invents atoms:
   the normalized atom keys of the output predicates are exactly those of
   the input, modulo the two legal folds (a contradiction collapsing to
@@ -32,9 +32,8 @@ time, structurally:
   unsatisfiable (re-decided independently);
 - **estimates** — cardinality/condition estimates are finite,
   non-negative, and shaped like the node's schema;
-- **lowering** — physical trees carry parallel/serial stamps only on
-  morselizable operators, morsel counts match the estimates they were
-  derived from, and hash-join build sides agree with the estimates.
+- **lowering** — physical estimates are finite and non-negative, and
+  hash-join build sides agree with the estimates.
 
 The checks above are purely *syntactic* and share one documented blind
 spot: a shape-preserving predicate applied to the wrong join side keeps
@@ -84,7 +83,6 @@ from repro.ctalgebra.plan import (
     UnionNode,
     estimate,
     execute_plan,
-    morsel_count,
 )
 from repro.tables.ctable import CTable, make_row
 
@@ -669,39 +667,14 @@ class PlanVerifier:
         self,
         op: "PhysicalOp",
         *,
-        morsel_size: Optional[int] = None,
         rule: Optional[str] = None,
     ) -> None:
-        """Check lowering invariants of a physical operator tree.
-
-        *morsel_size* is the :class:`~repro.physical.parallel.ParallelSpec`
-        size the tree was lowered for (``None`` for serial lowering).
-        """
+        """Check lowering invariants of a physical operator tree."""
         # Lazy import: ctalgebra sits below physical in the layering; the
         # verifier is handed physical trees by the lowering hook only.
-        from repro.physical.lower import _probe_child
         from repro.physical.operators import HashJoinOp, FilterOp, ProjectOp
-        from repro.physical.parallel import PARALLELIZABLE_OPS
 
         for node in op.walk():
-            decision = node.par_decision
-            if decision not in (None, "parallel", "serial"):
-                raise PlanVerificationError(
-                    "lowering",
-                    f"unknown parallel decision {decision!r}",
-                    rule=rule,
-                    node=node,
-                )
-            if decision is not None and not isinstance(
-                node, PARALLELIZABLE_OPS
-            ):
-                raise PlanVerificationError(
-                    "lowering",
-                    f"{node.label()} carries a parallel decision but is not "
-                    "a morselizable operator",
-                    rule=rule,
-                    node=node,
-                )
             rows = node.est_rows
             if rows is not None and (not math.isfinite(rows) or rows < 0):
                 raise PlanVerificationError(
@@ -711,35 +684,6 @@ class PlanVerifier:
                     rule=rule,
                     node=node,
                 )
-            probe = _probe_child(node)
-            probe_rows = probe.est_rows if probe is not None else None
-            if (
-                morsel_size is not None
-                and decision is not None
-                and probe_rows is not None
-            ):
-                expected = "parallel" if probe_rows > morsel_size else "serial"
-                if decision != expected:
-                    raise PlanVerificationError(
-                        "lowering",
-                        f"{node.label()} is stamped {decision!r} but its "
-                        f"probe input estimates {probe_rows:.1f} rows "
-                        f"against morsel size {morsel_size} "
-                        f"(expected {expected!r})",
-                        rule=rule,
-                        node=node,
-                    )
-                if node.est_morsels is not None and node.est_morsels != (
-                    morsel_count(probe_rows, morsel_size)
-                ):
-                    raise PlanVerificationError(
-                        "lowering",
-                        f"{node.label()} is stamped with {node.est_morsels} "
-                        f"morsels but the estimates give "
-                        f"{morsel_count(probe_rows, morsel_size)}",
-                        rule=rule,
-                        node=node,
-                    )
             if isinstance(node, HashJoinOp):
                 self._verify_hash_join(node, rule)
             if isinstance(node, FilterOp):
@@ -809,7 +753,7 @@ class PlanVerifier:
 
         Run at registration time (under ``verify_plans``) so that every
         condition entering the engine satisfies the identity invariant
-        the parallel executor assumes.
+        the ``is``-keyed operator memos assume.
         """
         domains = table.domains
         covered = None if domains is None else set(domains)

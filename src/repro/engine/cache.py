@@ -33,8 +33,8 @@ class PlanCache:
     """A bounded LRU mapping plan keys to planned :class:`PlanNode` trees.
 
     Thread safety: an engine (and its caches) may be shared by many
-    application threads and by morsel-parallel sessions, so every public
-    operation runs under one re-entrant lock.  ``get``'s
+    application threads, and one session may serve several of them, so
+    every public operation runs under one re-entrant lock.  ``get``'s
     ``move_to_end``, ``put``'s eviction sweep, and ``invalidate``'s
     two-structure walk each mutate the ``OrderedDict`` *and* the
     dependency index — interleaving them across threads corrupts the

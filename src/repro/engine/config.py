@@ -17,13 +17,10 @@ Environment overrides
 
 The executor knobs read their *defaults* from the environment so a whole
 test run (or deployment) can be flipped without touching code — CI uses
-this to exercise the entire tier-1 suite under the morsel-parallel
-executor:
+this to exercise the entire tier-1 suite under each executor:
 
 - ``REPRO_EXECUTOR`` — default for ``executor``
-  (``interpreted`` / ``vectorized`` / ``parallel``);
-- ``REPRO_NUM_WORKERS`` — default for ``num_workers``;
-- ``REPRO_MORSEL_SIZE`` — default for ``morsel_size``;
+  (``interpreted`` / ``vectorized``);
 - ``REPRO_VERIFY_PLANS`` — default for ``verify_plans``
   (truthy values: ``1``, ``true``, ``yes``, ``on``);
 - ``REPRO_VERIFY_MODE`` — default for ``verify_mode``
@@ -40,39 +37,47 @@ executor:
   the whole tier-1 suite with every prepared query served from a
   delta-maintained materialized view.
 
-Explicit constructor arguments always win over the environment.
+Explicit constructor arguments always win over the environment.  Every
+value is matched after stripping whitespace and lower-casing.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
+from typing import Mapping, Optional
+
+#: The two executors: the lifted-operator oracle and the batch runtime.
+EXECUTORS = ("interpreted", "vectorized")
+
+#: Why the parallel executor and its two knobs are gone.
+PARALLEL_REMOVED = (
+    "the parallel executor was removed: its morsel-driven scheduling "
+    "never beat the vectorized executor on measured hardware "
+    "(0.44x-1.01x); use executor='vectorized'"
+)
+
+#: The knobs of the removed executor.
+_REMOVED_OPTIONS = frozenset({"morsel_size", "num_workers"})
 
 
-def _env_executor() -> str:
+def _env_choice(
+    name: str,
+    default: str,
+    choices: tuple,
+    removed: Optional[Mapping[str, str]] = None,
+) -> str:
     # An empty value means "unset" so CI matrices can blank the knob.
-    return os.environ.get("REPRO_EXECUTOR") or "vectorized"
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError as error:
-        raise ValueError(
-            f"environment variable {name}={value!r} is not an integer"
-        ) from error
-
-
-def _env_choice(name: str, default: str, choices: tuple) -> str:
     value = os.environ.get(name)
     if not value:
         return default
     lowered = value.strip().lower()
     if lowered in choices:
         return lowered
+    if removed and lowered in removed:
+        raise ValueError(
+            f"environment variable {name}={value!r}: {removed[lowered]}"
+        )
     raise ValueError(
         f"environment variable {name}={value!r} is not one of {choices}"
     )
@@ -107,16 +112,9 @@ class ExecutionConfig:
       lifted operator; trades execution time for smaller conditions.
     - ``executor`` — ``"vectorized"`` runs plans through the physical
       batch runtime of :mod:`repro.physical` (the default);
-      ``"parallel"`` adds the morsel-driven scheduler of
-      :mod:`repro.physical.parallel` on top of it;
       ``"interpreted"`` keeps the recursive lifted-operator evaluation
-      as the oracle.  All three produce structurally identical answer
+      as the oracle.  Both produce structurally identical answer
       tables, so the knob is purely about speed.
-    - ``num_workers`` — width of the shared morsel worker pool
-      (``executor="parallel"`` only).
-    - ``morsel_size`` — rows per morsel; also the threshold below which
-      ``lower()`` marks an operator serial (``executor="parallel"``
-      only).  The answer never depends on either knob.
     - ``plan_cache_size`` — LRU capacity of the engine's prepared-plan
       cache; ``0`` disables plan caching entirely.
     - ``result_cache_size`` — LRU capacity of the engine's answer-table
@@ -175,17 +173,24 @@ class ExecutionConfig:
       maintained table.  The maintained result is structurally identical
       to a full re-execution of the same plan — rows, interned condition
       objects, and order — so the knob is purely about refresh cost.
+
+    ``num_workers`` and ``morsel_size`` are init-only arguments that
+    exist only for callers pinned to the old signature: ``num_workers``
+    must be 1 and ``morsel_size`` at least 1, and neither is stored.
     """
 
     optimize: bool = True
     simplify_conditions: bool = False
-    executor: str = field(default_factory=_env_executor)
-    num_workers: int = field(
-        default_factory=lambda: _env_int("REPRO_NUM_WORKERS", 4)
+    executor: str = field(
+        default_factory=lambda: _env_choice(
+            "REPRO_EXECUTOR",
+            "vectorized",
+            EXECUTORS,
+            removed={"parallel": PARALLEL_REMOVED},
+        )
     )
-    morsel_size: int = field(
-        default_factory=lambda: _env_int("REPRO_MORSEL_SIZE", 256)
-    )
+    num_workers: InitVar[int] = 1
+    morsel_size: InitVar[int] = 256
     plan_cache_size: int = 128
     result_cache_size: int = 64
     max_candidates: int = 100_000
@@ -214,19 +219,23 @@ class ExecutionConfig:
         )
     )
 
-    def __post_init__(self) -> None:
-        if self.executor not in ("interpreted", "vectorized", "parallel"):
+    def __post_init__(self, num_workers: int, morsel_size: int) -> None:
+        if self.executor == "parallel":
+            raise ValueError(PARALLEL_REMOVED)
+        if self.executor not in EXECUTORS:
             raise ValueError(
-                f"executor must be 'interpreted', 'vectorized', or "
-                f"'parallel', got {self.executor!r}"
+                f"executor must be 'interpreted' or 'vectorized', got "
+                f"{self.executor!r}"
             )
-        if self.num_workers < 1:
+        if num_workers != 1:
             raise ValueError(
-                f"num_workers must be >= 1, got {self.num_workers}"
+                f"num_workers={num_workers!r} is not supported: "
+                f"{PARALLEL_REMOVED}"
             )
-        if self.morsel_size < 1:
+        if morsel_size < 1:
             raise ValueError(
-                f"morsel_size must be >= 1, got {self.morsel_size}"
+                f"morsel_size={morsel_size!r} is not supported: "
+                f"{PARALLEL_REMOVED}"
             )
         if self.plan_cache_size < 0:
             raise ValueError(
@@ -267,6 +276,9 @@ class ExecutionConfig:
         ``None`` values mean "keep the current setting", so per-call
         override parameters can be forwarded verbatim.
         """
+        removed = sorted(_REMOVED_OPTIONS.intersection(options))
+        if removed:
+            raise ValueError(f"{removed} are not options: {PARALLEL_REMOVED}")
         known = {field.name for field in fields(self)}
         unknown = set(options) - known
         if unknown:

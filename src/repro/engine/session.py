@@ -73,11 +73,8 @@ from repro.ctalgebra.plan import (
 from repro.ctalgebra.translate import build_plan
 from repro.ctalgebra.verify import PlanVerifier
 from repro.physical import (
-    ParallelSpec,
     PhysicalOp,
-    execute_parallel,
     execute_physical,
-    execute_plan_parallel,
     execute_plan_vectorized,
     explain_physical,
     lower,
@@ -188,21 +185,13 @@ class _Registered:
 
 class _PlanEntry:
     """What the plan cache stores per key: the logical plan, plus the
-    physical plans lowered from it on first physical execution.
-
-    Lowered trees are keyed by morsel size (``None`` for the serial
-    vectorized lowering): the parallel/serial decisions are stamped on
-    the operator objects, so one tree per morsel size keeps prepared
-    queries with different parallel configs from fighting over the
-    stamps.  The worker count deliberately does not partition — it
-    cannot change the lowering, only who runs it.
-    """
+    physical plan lowered from it on first physical execution."""
 
     __slots__ = ("logical", "physical")
 
     def __init__(self, logical: PlanNode) -> None:
         self.logical = logical
-        self.physical: Dict[Optional[int], PhysicalOp] = {}
+        self.physical: Optional[PhysicalOp] = None
 
 
 def _distribution_fingerprint(
@@ -457,15 +446,6 @@ class Engine:
                 plan, tables,
                 simplify_conditions=config.simplify_conditions,
                 stats=collected or None,
-                verifier=verifier,
-            )
-        if config.executor == "parallel":
-            return execute_plan_parallel(
-                plan, tables,
-                stats=collected or None,
-                num_workers=config.num_workers,
-                morsel_size=config.morsel_size,
-                simplify_conditions=config.simplify_conditions,
                 verifier=verifier,
             )
         return execute_plan(
@@ -888,16 +868,16 @@ class Session:
         simplify_conditions: Optional[bool] = None,
         optimize: Optional[bool] = None,
         executor: Optional[str] = None,
-        num_workers: Optional[int] = None,
-        morsel_size: Optional[int] = None,
         trace: Optional[bool] = None,
+        **removed: object,
     ) -> "PreparedQuery":
         """Normalize, bind, and wrap *query* for repeated execution.
 
-        The executor knobs (``executor``/``num_workers``/``morsel_size``)
-        override the engine config per prepared query; the answer is
-        identical whichever executor runs it.  ``trace=True`` records a
-        span trace per execution (see ``Engine.last_trace()``).
+        ``executor`` overrides the engine config per prepared query; the
+        answer is identical whichever executor runs it.  ``trace=True``
+        records a span trace per execution (see ``Engine.last_trace()``).
+        *removed* only catches the knobs of the removed parallel
+        executor, so they fail with a ``ValueError`` that says so.
         """
         parse_seconds: Optional[float] = None
         if isinstance(query, str):
@@ -919,9 +899,8 @@ class Session:
             simplify_conditions=simplify_conditions,
             optimize=optimize,
             executor=executor,
-            num_workers=num_workers,
-            morsel_size=morsel_size,
             trace=trace,
+            **removed,
         )
         return PreparedQuery(self, query, config, parse_seconds)
 
@@ -1046,25 +1025,11 @@ class PreparedQuery:
         """The (cached) logical plan this query executes."""
         return self._plan_entry().logical
 
-    def _parallel_spec(self) -> Optional[ParallelSpec]:
-        """The morsel spec of this query's config (None when serial)."""
-        config = self._config
-        if config.executor != "parallel":
-            return None
-        return ParallelSpec(config.num_workers, config.morsel_size)
-
     def physical_plan(self) -> PhysicalOp:
-        """The physical plan, lowered once per morsel size and cached
-        alongside the logical one (same cache entry, same invalidation).
-
-        Under ``executor="parallel"`` the tree carries the per-operator
-        parallel/serial decisions for the config's morsel size — visible
-        through ``explain(physical=True)``.
-        """
+        """The physical plan, lowered once and cached alongside the
+        logical one (same cache entry, same invalidation)."""
         entry = self._plan_entry()
-        spec = self._parallel_spec()
-        key = None if spec is None else spec.morsel_size
-        lowered = entry.physical.get(key)
+        lowered = entry.physical
         if lowered is None:
             stats = {
                 name: self._session.stats(name)
@@ -1075,11 +1040,9 @@ class PreparedQuery:
                 if self._config.verify_plans
                 else None
             )
-            with trace_span(SPAN_LOWER, morsel_size=key):
-                lowered = lower(
-                    entry.logical, stats, parallel=spec, verifier=verifier
-                )
-            entry.physical[key] = lowered
+            with trace_span(SPAN_LOWER):
+                lowered = lower(entry.logical, stats, verifier=verifier)
+            entry.physical = lowered
         return lowered
 
     def _result_key(self) -> Tuple[object, ...]:
@@ -1238,15 +1201,6 @@ class PreparedQuery:
                     bindings,
                     simplify_conditions=config.simplify_conditions,
                 )
-            elif config.executor == "parallel":
-                answered = execute_parallel(
-                    physical,
-                    bindings,
-                    num_workers=config.num_workers,
-                    morsel_size=config.morsel_size,
-                    simplify_conditions=config.simplify_conditions,
-                    collector=collector,
-                )
             else:
                 answered = execute_physical(
                     physical,
@@ -1281,7 +1235,7 @@ class PreparedQuery:
         the hash-join build sides and filter strategies actually chosen.
         ``analyze=True`` *executes* the query under tracing and renders
         the physical tree with estimated-vs-actual cardinalities,
-        per-operator wall time, morsel counts, cache-hit provenance,
+        per-operator wall time, cache-hit provenance,
         and a drift flag on operators whose actuals diverge ≥4× from
         the estimates.
         """
@@ -1308,9 +1262,6 @@ class PreparedQuery:
         session = self._session
         engine = session.engine
         config = self._config
-        executor = (
-            config.executor if config.executor != "interpreted" else "vectorized"
-        )
         result_cached = engine._result_cache.contains(self._result_key())
         collector = TraceCollector()
         tracer = Tracer(query=repr(self._query))
@@ -1320,34 +1271,21 @@ class PreparedQuery:
             physical_tree = self.physical_plan()
             bindings = session._bindings(self._query)
             with tracer.span(
-                SPAN_EXECUTE, cached=False, executor=executor
+                SPAN_EXECUTE, cached=False, executor="vectorized"
             ) as span:
-                if executor == "parallel":
-                    execute_parallel(
-                        physical_tree,
-                        bindings,
-                        num_workers=config.num_workers,
-                        morsel_size=config.morsel_size,
-                        simplify_conditions=config.simplify_conditions,
-                        collector=collector,
-                    )
-                else:
-                    execute_physical(
-                        physical_tree,
-                        bindings,
-                        simplify_conditions=config.simplify_conditions,
-                        collector=collector,
-                    )
+                execute_physical(
+                    physical_tree,
+                    bindings,
+                    simplify_conditions=config.simplify_conditions,
+                    collector=collector,
+                )
                 span.attrs["operators"] = collector.summary(physical_tree)
         engine._store_trace(tracer.to_dict())
-        spec = self._parallel_spec()
         return render_analyze(
             physical_tree,
             collector,
             tracer,
-            executor=executor,
-            num_workers=None if spec is None else spec.num_workers,
-            morsel_size=None if spec is None else spec.morsel_size,
+            executor="vectorized",
             result_cached=result_cached,
         )
 
@@ -1447,13 +1385,7 @@ class Dataset:
             return self._prepared.explain(analyze=True)
         if self._plan is not None:
             if physical:
-                return explain_physical(
-                    lower(
-                        self._plan,
-                        self._stats,
-                        parallel=self._prepared._parallel_spec(),
-                    )
-                )
+                return explain_physical(lower(self._plan, self._stats))
             return explain_plan(self._plan, self._stats)
         return self._prepared.explain(physical=physical)
 

@@ -4,8 +4,7 @@ Mirrors the tree layout of
 :func:`repro.physical.lower.explain_physical`, but annotates every
 operator with the actuals a :class:`~repro.obs.trace.TraceCollector`
 gathered during one real execution: rows out (vs the planner's
-estimate), wall time, morsel count and worker attribution for
-parallel operators, and a **drift** flag on operators whose actual
+estimate), wall time, and a **drift** flag on operators whose actual
 cardinality diverges from the estimate by at least
 :data:`DRIFT_THRESHOLD` — the feedback signal adaptive re-lowering
 will key on.
@@ -79,19 +78,11 @@ def render_analyze(
     tracer: "Tracer",
     *,
     executor: str,
-    num_workers: Optional[int] = None,
-    morsel_size: Optional[int] = None,
     result_cached: Optional[bool] = None,
     drift_threshold: float = DRIFT_THRESHOLD,
 ) -> str:
     """Render the analyzed physical tree with header provenance lines."""
-    header = f"EXPLAIN ANALYZE  (executor={executor}"
-    if num_workers is not None:
-        header += f", workers={num_workers}"
-    if morsel_size is not None:
-        header += f", morsel_size={morsel_size}"
-    header += ")"
-    lines = [header, _plan_line(tracer)]
+    lines = [f"EXPLAIN ANALYZE  (executor={executor})", _plan_line(tracer)]
     if result_cached is not None:
         lines.append(
             "result cache: hit (analyze re-executed anyway)"
@@ -110,10 +101,6 @@ def render_analyze(
             return f"{op.label()}  {est}  act=?"
         label = f"{op.label()}  {est}  act={record.rows_out}"
         label += f"  time={_ms(record.seconds)}"
-        if record.morsels:
-            label += f"  morsels={record.morsels} workers={len(record.workers)}"
-        elif op.par_decision is not None:
-            label += f"  [{op.par_decision}]"
         drift = estimate_drift(op.est_rows, record.rows_out)
         if drift is not None and drift >= drift_threshold:
             label += f"  [drift {drift:.1f}x]"

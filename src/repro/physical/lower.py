@@ -17,22 +17,9 @@ supplied:
   carries a distinct constant signature (the memo would only miss);
 - the remaining operators map one-to-one.
 
-When a :class:`~repro.physical.parallel.ParallelSpec` is supplied,
-``lower()`` additionally stamps a **parallelism decision** on every
-morselizable operator (filter, project, hash join, product,
-difference, intersect): ``"parallel"`` when the estimated probe-input
-cardinality clears the spec's morsel size (so the input would split
-into at least two morsels), ``"serial"`` when the estimates say the
-split can never pay.  Operators without an estimate stay ``"parallel"``
-and are gated at runtime by the actual batch length — the scheduler
-falls back to the serial kernel for single-morsel inputs either way.
-``explain_physical`` renders the decision and the estimated morsel
-count per operator.
-
 Every choice preserves the structural-identity contract: whatever the
-lowering picks — build sides, filter strategies, morselization — the
-materialized answer equals the interpreted ``execute_plan`` result
-row-for-row.
+lowering picks — build sides, filter strategies — the materialized
+answer equals the interpreted ``execute_plan`` result row-for-row.
 """
 
 from __future__ import annotations
@@ -42,7 +29,6 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ctalgebra.verify import PlanVerifier
     from repro.obs.trace import TraceCollector
-    from repro.physical.parallel import ParallelSpec
 
 from repro.errors import QueryError
 from repro.tables.ctable import CTable
@@ -62,7 +48,6 @@ from repro.ctalgebra.plan import (
     TableStats,
     UnionNode,
     estimate,
-    morsel_count,
 )
 from repro.physical.operators import (
     ConstScanOp,
@@ -82,38 +67,6 @@ from repro.physical.operators import (
 
 #: Below this estimated input size a memo cannot pay for its probes.
 _MEMO_MIN_ROWS = 8.0
-
-
-def _probe_child(op: PhysicalOp) -> Optional[PhysicalOp]:
-    """The input the morsel scheduler would split for *op*, if any."""
-    if isinstance(op, (FilterOp, ProjectOp)):
-        return op.child
-    if isinstance(op, HashJoinOp):
-        return op.left if op.build_side == "right" else op.right
-    if isinstance(op, (ProductOp, DifferenceOp, IntersectOp)):
-        return op.left
-    return None
-
-
-def _stamp_parallel_decision(op: PhysicalOp, morsel_size: int) -> None:
-    """Record whether the morsel scheduler should split *op*'s probe input.
-
-    The decision keys on the *estimated* probe cardinality: more than
-    one morsel's worth → ``"parallel"``.  Without an estimate the
-    operator stays eligible and the scheduler gates on the actual batch
-    length instead.  The decision never affects the answer — only which
-    code path materializes it — so estimate misses cost speed, not
-    correctness.
-    """
-    probe = _probe_child(op)
-    if probe is None:
-        return
-    rows = probe.est_rows
-    if rows is None:
-        op.par_decision = "parallel"
-        return
-    op.est_morsels = morsel_count(rows, morsel_size)
-    op.par_decision = "parallel" if rows > morsel_size else "serial"
 
 
 def _expected_signatures(node: SelectNode, found: Estimate) -> float:
@@ -136,19 +89,14 @@ def _expected_signatures(node: SelectNode, found: Estimate) -> float:
 def lower(
     plan: PlanNode,
     stats: Optional[Mapping[str, TableStats]] = None,
-    parallel: Optional["ParallelSpec"] = None,
     _memo: Optional[Dict[PlanNode, Estimate]] = None,
     verifier: Optional["PlanVerifier"] = None,
 ) -> PhysicalOp:
     """Choose physical operators for *plan* (estimates-guided when given).
 
-    *parallel* is a :class:`~repro.physical.parallel.ParallelSpec`;
-    when given, every morselizable operator is stamped with the
-    parallel/serial decision the morsel scheduler honors.  With a
-    *verifier* (``ExecutionConfig.verify_plans``) the lowered tree is
-    checked for the lowering invariants — stamps only on morselizable
-    operators, morsel counts and build sides consistent with the
-    estimates — before it is returned.
+    With a *verifier* (``ExecutionConfig.verify_plans``) the lowered
+    tree is checked for the lowering invariants — finite estimates and
+    build sides consistent with them — before it is returned.
     """
     if _memo is None:
         _memo = {}
@@ -202,11 +150,9 @@ def lower(
                     and right_op.est_rows is not None
                 ):
                     # The synthetic product has no plan node of its own;
-                    # give it the obvious estimate so the parallelism
-                    # decision (and explain) can see through it.
+                    # give it the obvious estimate so explain can see
+                    # through it.
                     product_op.est_rows = left_op.est_rows * right_op.est_rows
-                if parallel is not None:
-                    _stamp_parallel_decision(product_op, parallel.morsel_size)
                 op = FilterOp(product_op, node.predicate)
             else:
                 build_side = "right"
@@ -240,17 +186,11 @@ def lower(
         node_estimate = found(node)
         if node_estimate is not None:
             op.est_rows = node_estimate.rows
-        if parallel is not None:
-            _stamp_parallel_decision(op, parallel.morsel_size)
         return op
 
     root = recurse(plan)
     if verifier is not None:
-        verifier.verify_physical(
-            root,
-            morsel_size=None if parallel is None else parallel.morsel_size,
-            rule="lower",
-        )
+        verifier.verify_physical(root, rule="lower")
     return root
 
 
@@ -287,20 +227,13 @@ def execute_plan_vectorized(
 
 
 def explain_physical(physical: PhysicalOp) -> str:
-    """Render a physical tree: labels, cardinality estimates, and — for
-    trees lowered with a parallel spec — the per-operator parallel/serial
-    decision with the estimated morsel count."""
+    """Render a physical tree: labels and cardinality estimates."""
     lines = []
 
     def annotate(op: PhysicalOp) -> str:
         label = op.label()
         if op.est_rows is not None:
             label += f"  rows≈{op.est_rows:.1f}"
-        if op.par_decision is not None:
-            if op.est_morsels is not None:
-                label += f"  [{op.par_decision}, morsels≈{op.est_morsels}]"
-            else:
-                label += f"  [{op.par_decision}]"
         return label
 
     def render(op: PhysicalOp, prefix: str, child_prefix: str) -> None:

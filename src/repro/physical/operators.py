@@ -26,16 +26,15 @@ Where the speed comes from:
   hash-bucket scheme of the lifted operators and memoize the whole
   membership condition per distinct left value-tuple.
 
-Each operator's work is split three ways so the morsel-driven scheduler
-of :mod:`repro.physical.parallel` can reuse it: ``compute`` consumes
-already-materialized input batches (``execute`` only adds the pull-based
-recursion over children), the build-once shared state (hash-join
+Each operator's work is split three ways: ``compute`` consumes
+already-materialized input batches (``execute`` only adds the
+pull-based recursion over children), the build-once state (hash-join
 partitions, membership indexes, composer memos) is constructed by
 separate helpers, and the per-row loops are *range kernels* that accept
-an arbitrary row range — the serial path runs them over ``range(n)``,
-the parallel scheduler over morsel slices, and both seal the merged
-results through the same helpers, which is what keeps the outputs
-structurally identical.
+an arbitrary row range, sealed into a batch by a separate ``seal``
+step.  The batch path runs the kernels over ``range(n)``; keeping them
+separable lets another driver — delta propagation, say — share the
+exact kernels and so produce structurally identical outputs.
 """
 
 from __future__ import annotations
@@ -165,21 +164,12 @@ def _finish(
 class PhysicalOp:
     """Base class of physical operators (a small pull-based tree)."""
 
-    __slots__ = ("est_rows", "par_decision", "est_morsels")
+    __slots__ = ("est_rows",)
 
     def __init__(self) -> None:
         #: Planner cardinality estimate, stamped by ``lower()`` when
         #: statistics are available; rendered by ``explain_physical``.
         self.est_rows: Optional[float] = None
-        #: ``lower()``'s parallelism decision for this operator when a
-        #: morsel spec was supplied: ``"parallel"`` (morselize when the
-        #: input clears the morsel size at runtime) or ``"serial"``
-        #: (the estimates say splitting never pays).  ``None`` for
-        #: leaves/serial lowering; rendered by ``explain_physical``.
-        self.par_decision: Optional[str] = None
-        #: Estimated morsel count at the chosen morsel size (``None``
-        #: without statistics).
-        self.est_morsels: Optional[int] = None
 
     @property
     def arity(self) -> int:
@@ -681,8 +671,9 @@ class HashJoinOp(PhysicalOp):
         ``keyed[row]`` is False exactly for the symbolic rows — the
         probe-right rank pass needs it per probed row, so it is derived
         here once rather than per probe range.  The returned structures
-        are read-only during probing, so morsel workers may share them
-        without coordination.
+        are read-only during probing, so a lowered tree cached by a
+        session shared across threads may probe them without
+        coordination.
         """
         buckets: Dict[tuple, List[int]] = {}
         symbolic: List[int] = []
@@ -1015,8 +1006,8 @@ class _SetDifferenceBase(PhysicalOp):
         """Compose membership conditions for a range of left rows.
 
         The index's buckets are read-only after construction; its
-        condition memos are interning-idempotent, so morsel workers may
-        probe one shared index concurrently.
+        condition memos are interning-idempotent, so threads sharing a
+        session may probe one index concurrently.
         """
         keep: List[int] = []
         conditions: List[Formula] = []

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -30,6 +34,7 @@ from repro import (
     default_engine,
     eq,
     lineage_of,
+    ne,
     possible_answer,
     possible_answer_symbolic,
     possible_answer_table,
@@ -42,6 +47,7 @@ from repro import (
     tuple_probability_naive,
 )
 from repro.core.idatabase import IDatabase
+from repro.engine.cache import PlanCache, ResultCache
 from repro.errors import (
     NoWorldsError,
     ProbabilityError,
@@ -51,6 +57,16 @@ from repro.errors import (
 from repro.logic.syntax import TOP
 
 X, Y = Var("x"), Var("y")
+
+#: A self-join whose hash join, projection and filter all carry work.
+QUERY = proj(sel(prod(rel("V", 2), rel("V", 2)), col_eq(1, 2)), [0, 3])
+
+
+def mixed_table(rows=40):
+    entries = [((i % 3, i % 5), ne(X, i % 2)) for i in range(rows)]
+    entries.append(((X, 0), eq(X, 1)))
+    entries.append(((1, Y), ne(Y, 2)))
+    return CTable(entries, arity=2)
 
 
 @pytest.fixture
@@ -97,6 +113,86 @@ class TestExecutionConfig:
         engine = Engine(optimize=False, simplify_conditions=True)
         assert engine.config.optimize is False
         assert engine.config.simplify_conditions is True
+
+
+class TestExecutorConfig:
+    """Two executors; the removed parallel one fails loudly."""
+
+    def test_invalid_values_rejected(self):
+        with pytest.raises(ValueError):
+            ExecutionConfig(executor="gpu")
+        with pytest.raises(ValueError):
+            ExecutionConfig(num_workers=0)
+        with pytest.raises(ValueError):
+            ExecutionConfig(morsel_size=0)
+
+    def test_environment_defaults(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "interpreted")
+        assert ExecutionConfig().executor == "interpreted"
+        # Explicit arguments beat the environment.
+        assert ExecutionConfig(executor="vectorized").executor == (
+            "vectorized"
+        )
+
+    def test_env_executor_stripped_and_case_folded(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", " Vectorized ")
+        assert ExecutionConfig().executor == "vectorized"
+
+    def test_env_executor_garbage_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "gpu")
+        with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
+            ExecutionConfig()
+
+    def test_env_parallel_executor_names_the_removal(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "Parallel")
+        with pytest.raises(ValueError, match="REPRO_EXECUTOR") as excinfo:
+            ExecutionConfig()
+        assert "parallel executor was removed" in str(excinfo.value)
+
+    def test_removed_knobs_not_read_from_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NUM_WORKERS", "8")
+        monkeypatch.setenv("REPRO_MORSEL_SIZE", "many")
+        assert ExecutionConfig() == ExecutionConfig(
+            num_workers=1, morsel_size=256
+        )
+
+    @pytest.mark.parametrize(
+        "attempt",
+        [
+            lambda: ExecutionConfig(executor="parallel"),
+            lambda: Engine(num_workers=2),
+            lambda: ExecutionConfig().with_options(num_workers=2),
+            lambda: Engine().session(V=mixed_table(4)).prepare(
+                QUERY, num_workers=2
+            ),
+        ],
+        ids=["config", "engine", "with_options", "prepare"],
+    )
+    def test_parallel_knobs_name_the_removal(self, attempt):
+        with pytest.raises(ValueError, match="parallel executor was removed"):
+            attempt()
+
+    def test_pinned_arguments_are_not_stored(self):
+        config = ExecutionConfig(num_workers=1, morsel_size=256)
+        assert config == ExecutionConfig()
+        assert hash(config) == hash(ExecutionConfig())
+        assert ExecutionConfig(morsel_size=64) == config
+        assert not {"num_workers", "morsel_size"} & set(asdict(config))
+        assert len(fields(config)) == 12
+        assert replace(config, trace=True).trace is True
+
+    def test_prepare_overrides_executor(self):
+        session = Engine(result_cache_size=0).session(V=mixed_table())
+        prepared = session.prepare(QUERY, executor="interpreted")
+        assert prepared.config.executor == "interpreted"
+        vectorized = session.prepare(QUERY, executor="vectorized").execute()
+        assert prepared.execute() == vectorized
+
+    def test_explain_stable_across_repeated_preparation(self):
+        session = Engine(result_cache_size=0).session(V=mixed_table())
+        first = session.prepare(QUERY).explain(physical=True)
+        second = session.prepare(QUERY).explain(physical=True)
+        assert first == second
 
 
 class TestEngineAdHoc:
@@ -496,3 +592,89 @@ class TestDefaultEngine:
         session = default_engine().session(V=ctable)
         assert isinstance(session, Session)
         assert isinstance(session.query("pi[1](V)"), Dataset)
+
+
+class TestSessionConcurrency:
+    """Shared caches and interning under concurrent use of one session."""
+
+    def test_hammer_one_session_from_worker_threads(self):
+        table = mixed_table(24)
+        session = Engine().session(V=table)
+        reference = (
+            Engine(executor="interpreted").session(V=table).query(QUERY).collect()
+        )
+        queries = [
+            QUERY,
+            proj(rel("V", 2), [1, 0]),
+            sel(rel("V", 2), col_eq_const(0, 1)),
+        ]
+        references = {
+            query: Engine(executor="interpreted")
+            .session(V=table)
+            .query(query)
+            .collect()
+            for query in queries
+        }
+        errors = []
+        barrier = threading.Barrier(8, timeout=60)
+
+        def worker(worker_id):
+            rng = random.Random(worker_id)
+            barrier.wait()
+            try:
+                for step in range(30):
+                    if worker_id == 0 and step % 10 == 5:
+                        # Re-register the same rows: invalidates the
+                        # caches without changing any answer.
+                        session.register("V", table)
+                        continue
+                    query = rng.choice(queries)
+                    answered = session.query(query).collect()
+                    expected = references[query]
+                    assert answered == expected, (worker_id, step)
+            except Exception as error:  # noqa: BLE001 - collected for report
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert session.query(QUERY).collect() == reference
+
+    def test_plan_and_result_cache_thread_hammer(self):
+        for cache in (PlanCache(16), ResultCache(16)):
+            barrier = threading.Barrier(6, timeout=60)
+
+            def worker(worker_id, cache=cache, barrier=barrier):
+                rng = random.Random(worker_id)
+                barrier.wait()
+                for step in range(200):
+                    key = f"k{rng.randrange(24)}"
+                    action = rng.random()
+                    if action < 0.5:
+                        cache.get(key)
+                    elif action < 0.8:
+                        cache.put(
+                            key,
+                            f"value-{worker_id}-{step}",
+                            scope=worker_id % 2,
+                            dependencies=frozenset({key[:2]}),
+                        )
+                    elif action < 0.95:
+                        cache.invalidate(worker_id % 2, (key[:2],))
+                    else:
+                        cache.stats()
+
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                list(pool.map(worker, range(6)))
+            stats = cache.stats()
+            assert stats["entries"] <= 16
+            # The dependency index must not leak evicted/invalidated keys.
+            live = set(cache._entries)
+            indexed = set().union(*cache._by_dependency.values(), set())
+            assert indexed <= live

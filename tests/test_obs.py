@@ -1,9 +1,9 @@
 """Tests for ``repro.obs``: metrics, tracing, and EXPLAIN ANALYZE.
 
 The determinism contract under test: operator identities, row counts,
-batch counts, and trace shape are identical across the serial,
-vectorized, and parallel executors (at any worker count); timings and
-worker attribution naturally vary and are excluded from the
+batch counts, and trace shape are identical across repeated executions,
+and the interpreted and vectorized executors agree on the answer and
+the planning trace; timings naturally vary and are excluded from the
 deterministic view (``timings=False``).
 """
 
@@ -53,7 +53,7 @@ def make_session(engine: Engine):
 
 
 def strip_timings(node: dict) -> dict:
-    """The deterministic view of a trace dict: no seconds, no workers."""
+    """The deterministic view of a trace dict: no seconds."""
     out = {"name": node["name"]}
     attrs = dict(node.get("attrs", {}))
     operators = attrs.get("operators")
@@ -62,7 +62,7 @@ def strip_timings(node: dict) -> dict:
             {
                 key: value
                 for key, value in record.items()
-                if key not in ("seconds", "workers")
+                if key != "seconds"
             }
             for record in operators
         ]
@@ -83,7 +83,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter(QUERIES_TOTAL, labels={"executor": "vectorized"})
         registry.counter(QUERIES_TOTAL, 2, labels={"executor": "vectorized"})
-        registry.counter(QUERIES_TOTAL, labels={"executor": "parallel"})
+        registry.counter(QUERIES_TOTAL, labels={"executor": "interpreted"})
         assert (
             registry.counter_value(
                 QUERIES_TOTAL, labels={"executor": "vectorized"}
@@ -92,7 +92,7 @@ class TestMetricsRegistry:
         )
         assert (
             registry.counter_value(
-                QUERIES_TOTAL, labels={"executor": "parallel"}
+                QUERIES_TOTAL, labels={"executor": "interpreted"}
             )
             == 1.0
         )
@@ -121,7 +121,7 @@ class TestMetricsRegistry:
 
     def test_snapshot_is_deterministic_and_json_ready(self):
         registry = MetricsRegistry()
-        registry.counter(QUERIES_TOTAL, labels={"executor": "parallel"})
+        registry.counter(QUERIES_TOTAL, labels={"executor": "interpreted"})
         registry.counter(QUERIES_TOTAL, labels={"executor": "vectorized"})
         registry.histogram(QUERIES_TOTAL, 0.5)
         first = json.dumps(registry.snapshot(), sort_keys=True)
@@ -247,51 +247,37 @@ class TestTracer:
 
 
 # ----------------------------------------------------------------------
-# Engine-level tracing: determinism across executors and worker counts
+# Engine-level tracing: determinism across executors and repeated runs
 # ----------------------------------------------------------------------
 
 class TestTraceDeterminism:
-    def executed_trace(self, *, executor: str, num_workers: int = 2):
+    def executed_trace(self, *, executor: str):
         engine = Engine()
         session = make_session(engine)
-        prepared = session.prepare(
-            JOIN,
-            trace=True,
-            executor=executor,
-            num_workers=num_workers,
-            morsel_size=8,
-        )
+        prepared = session.prepare(JOIN, trace=True, executor=executor)
         answer = prepared.execute()
         return answer, engine.last_trace()
 
-    def test_identical_operator_rows_across_executors_and_workers(self):
-        reference_answer, reference_trace = self.executed_trace(
-            executor="vectorized"
+    def test_identical_traces_across_executors(self):
+        oracle_answer, oracle_trace = self.executed_trace(
+            executor="interpreted"
         )
-        reference = strip_timings(reference_trace)
-        for workers in (1, 2, 8):
-            answer, trace = self.executed_trace(
-                executor="parallel", num_workers=workers
-            )
-            assert_structurally_identical(
-                reference_answer, answer, context=f"workers={workers}"
-            )
-            stripped = strip_timings(trace)
-            # Same span tree, same operator identities and row counts;
-            # only the executor tag and morsel/parallel bookkeeping may
-            # differ between the two lowering modes.
-            assert [c["name"] for c in stripped["children"]] == [
-                c["name"] for c in reference["children"]
-            ]
-            ref_ops = self.operator_view(reference)
-            par_ops = self.operator_view(stripped)
-            assert [
-                {k: o[k] for k in ("operator", "rows_in", "rows_out", "calls")}
-                for o in par_ops
-            ] == [
-                {k: o[k] for k in ("operator", "rows_in", "rows_out", "calls")}
-                for o in ref_ops
-            ]
+        answer, trace = self.executed_trace(executor="vectorized")
+        assert_structurally_identical(oracle_answer, answer)
+        oracle = strip_timings(oracle_trace)
+        stripped = strip_timings(trace)
+        # Same plan span (rewrite counters included); only the
+        # vectorized executor lowers, and only it has operator records.
+        assert oracle["children"][0] == stripped["children"][0]
+        assert [c["name"] for c in oracle["children"]] == [
+            SPAN_PLAN, SPAN_EXECUTE,
+        ]
+        assert [c["name"] for c in stripped["children"]] == [
+            SPAN_PLAN, SPAN_LOWER, SPAN_EXECUTE,
+        ]
+        assert self.operator_view(stripped)[0]["rows_out"] == len(
+            oracle_answer.rows
+        )
 
     def operator_view(self, stripped_trace: dict):
         for child in stripped_trace["children"]:
@@ -299,26 +285,11 @@ class TestTraceDeterminism:
                 return child["attrs"]["operators"]
         raise AssertionError("no execute span in trace")
 
-    def test_parallel_trace_repeatable_rows(self):
-        first_answer, first = self.executed_trace(
-            executor="parallel", num_workers=8
-        )
-        second_answer, second = self.executed_trace(
-            executor="parallel", num_workers=8
-        )
+    def test_vectorized_trace_repeatable_rows(self):
+        first_answer, first = self.executed_trace(executor="vectorized")
+        second_answer, second = self.executed_trace(executor="vectorized")
         assert_structurally_identical(first_answer, second_answer)
         assert strip_timings(first) == strip_timings(second)
-
-    def test_morsels_and_workers_recorded_under_parallel(self):
-        _, trace = self.executed_trace(executor="parallel", num_workers=2)
-        operators = self.operator_view(strip_timings(trace))
-        assert any(record["morsels"] > 0 for record in operators)
-        raw_ops = [
-            child
-            for child in trace["children"]
-            if child["name"] == SPAN_EXECUTE
-        ][0]["attrs"]["operators"]
-        assert any(record["workers"] for record in raw_ops)
 
     def test_trace_shape_parse_plan_lower_execute(self):
         engine = Engine()
@@ -507,16 +478,6 @@ class TestExplainAnalyze:
         text = prepared.explain(analyze=True)
         assert "result cache: hit" in text
 
-    def test_parallel_rendering_shows_morsels(self):
-        engine = Engine()
-        session = make_session(engine)
-        prepared = session.prepare(
-            JOIN, executor="parallel", num_workers=2, morsel_size=8
-        )
-        text = prepared.explain(analyze=True)
-        assert "workers=2" in text
-        assert "morsels=" in text
-
     def test_drift_flagged_on_skewed_column(self):
         # 90 of 100 rows share constant 7 in column 1; ten distinct
         # values make the uniform estimate rows/distinct ≈ 11, so the
@@ -567,30 +528,19 @@ class TestTracedDifferential:
             query, tables = random_case(rng)
             answers = {}
             traces = {}
-            for executor, workers in (
-                ("interpreted", 1),
-                ("vectorized", 1),
-                ("parallel", 2),
-            ):
+            for executor in ("interpreted", "vectorized"):
                 engine = Engine()
                 session = engine.session()
                 for name, table in tables.items():
                     session.register(name, table)
                 prepared = session.prepare(
-                    query,
-                    trace=True,
-                    executor=executor,
-                    num_workers=workers,
-                    morsel_size=2,
+                    query, trace=True, executor=executor
                 )
                 answers[executor] = prepared.execute()
                 traces[executor] = engine.last_trace()
             context = f"seed={seed} trial={trial} query={query!r}"
             assert_structurally_identical(
                 answers["interpreted"], answers["vectorized"], context
-            )
-            assert_structurally_identical(
-                answers["interpreted"], answers["parallel"], context
             )
             for executor, trace in traces.items():
                 assert trace is not None and trace["name"] == SPAN_QUERY, (
@@ -601,16 +551,6 @@ class TestTracedDifferential:
                 for c in traces["vectorized"]["children"]
                 if c["name"] == SPAN_EXECUTE
             ][0]["attrs"]["operators"]
-            par_ops = [
-                c
-                for c in traces["parallel"]["children"]
-                if c["name"] == SPAN_EXECUTE
-            ][0]["attrs"]["operators"]
-            deterministic = lambda ops: [  # noqa: E731
-                {
-                    k: o[k]
-                    for k in ("operator", "rows_in", "rows_out", "calls")
-                }
-                for o in ops
-            ]
-            assert deterministic(vec_ops) == deterministic(par_ops), context
+            assert vec_ops[0]["rows_out"] == len(
+                answers["interpreted"].rows
+            ), context

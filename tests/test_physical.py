@@ -308,7 +308,7 @@ class TestRandomizedEquivalence:
     Mod-level equivalence of the two executors.
 
     Cases come from the shared differential harness (``tests/harness.py``),
-    which also sweeps the parallel executor in ``test_differential.py``.
+    which also drives ``test_differential.py``.
     """
 
     @pytest.mark.parametrize("optimize", [False, True])
