@@ -64,10 +64,11 @@ Three things happen:
    interpreted lifted operators on structurally identical answers:
 
    - ``e28_vectorized_scan`` — a selection-heavy scan; ``FilterOp``
-     instantiates the predicate once per distinct constant signature.
+     runs the predicate's compiled kernel, folding constant rows
+     without building a formula.
    - ``e29_generalized_hash_join`` — a two-key equijoin + residual;
-     both sides hash-partition, the vectorized side memoizes the
-     per-pair condition composition.
+     both sides hash-partition, the vectorized side runs the residual
+     predicate's compiled kernel on hash-matched pairs.
    - ``e30_result_cache_hot_loop`` — repeated identical reads; the
      engine's result cache serves every read after the first without
      executing the plan at all.
@@ -854,8 +855,8 @@ def run_e29_generalized_hash_join(rows: int, iters: int, repeats: int) -> dict:
 
     Both executors hash-partition on the constant keys (the fused
     ``join_bar`` generalized inside the plan); the contest is the
-    per-pair condition composition, which the vectorized runtime
-    memoizes per predicate signature and per condition triple.
+    per-pair condition composition, where the vectorized runtime runs
+    the residual predicate's compiled kernel on hash-matched pairs.
     """
     x, y = Var("x"), Var("y")
 

@@ -742,7 +742,6 @@ class PlanVerifier:
                     node=node,
                 )
         self._verify_predicate(node.predicate, node.arity, rule, node)
-        self._verify_predicate(node.residual, node.arity, rule, node)
 
     # ------------------------------------------------------------------
     # Tables

@@ -38,9 +38,13 @@ equals the row order a from-scratch run of that operator would produce:
 Conditions are reproduced by running the *identical* composition the
 lifted operators run (the same ``conj``/``disj``/``neg``/``eq`` calls
 in the same argument order), so hash-consing makes the results the very
-same objects.  With ``simplify_conditions`` on, each operator state
-simplifies its emitted rows exactly where ``execute_plan`` calls
-``.simplified()`` — once per operator, never at leaves.
+same objects.  Select and join states instantiate their predicates
+through the batch runtime's compiled
+:class:`~repro.physical.kernels.PredicateKernel`, which returns the
+object ``instantiate_predicate`` would.  With ``simplify_conditions``
+on, each operator state simplifies its emitted rows exactly where
+``execute_plan`` calls ``.simplified()`` — once per operator, never at
+leaves.
 
 Lemma 1 is what licenses all of this: each lifted operator commutes
 with valuation application, so a signed delta pushed through ``σ̄``,
@@ -60,24 +64,16 @@ subclasses whose metadata is derived from rows (boolean c-tables).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import TableError
-from repro.logic.atoms import Eq, Term, eq
-from repro.logic.syntax import BOTTOM, TOP, And, Formula, conj, disj, neg
+from repro.logic.syntax import BOTTOM, TOP, Formula, conj, disj, neg
 from repro.logic.simplify import simplify
-from repro.algebra.predicates import (
-    column_index,
-    instantiate_predicate,
-    is_column_var,
-    split_equijoin,
-)
+from repro.algebra.predicates import split_equijoin
 from repro.tables.ctable import CRow, CTable
 from repro.ctalgebra.lifted import (
     _constant_row_key,
     _join_key,
-    _rows_equal_condition,
 )
 from repro.ctalgebra.plan import (
     ConstScan,
@@ -96,6 +92,7 @@ from repro.ctalgebra.plan import (
     execute_plan,
 )
 from repro.ivm.delta import DeltaBatch
+from repro.physical.kernels import PredicateKernel, tuples_equal
 
 Key = Tuple[int, ...]
 
@@ -254,7 +251,7 @@ class _StaticState(_State):
 class _SelectState(_State):
     """``σ̄``: per-row predicate instantiation, keys pass through."""
 
-    __slots__ = ("child", "predicate")
+    __slots__ = ("child", "kernel")
 
     def __init__(
         self, node: SelectNode, child: _State, simplify_conditions: bool
@@ -266,7 +263,7 @@ class _SelectState(_State):
             node.arity, child.domains, global_condition, simplify_conditions
         )
         self.child = child
-        self.predicate = node.predicate
+        self.kernel = PredicateKernel(node.predicate, child.arity)
 
     def children(self) -> Tuple[_State, ...]:
         return (self.child,)
@@ -277,9 +274,11 @@ class _SelectState(_State):
         for key, _row in delta.deletes:
             self._delete_if_present(key, out)
         for key, row in delta.inserts:
-            instantiated = instantiate_predicate(self.predicate, row.values)
+            instantiated = self.kernel.instantiate(row.values)
             if instantiated is TOP:
                 condition = row.condition
+            elif instantiated is BOTTOM:
+                continue
             else:
                 condition = conj(row.condition, instantiated)
                 if condition is BOTTOM:
@@ -377,51 +376,6 @@ class _ProjectState(_State):
         return out
 
 
-def _compile_conjuncts(
-    predicate: Formula, arity: int
-) -> Optional[Tuple[Callable[[Tuple[Term, ...]], Formula], ...]]:
-    """Per-conjunct instantiators equivalent to ``instantiate_predicate``.
-
-    ``conj(parts...)`` over the compiled conjuncts applied in order
-    builds the identical interned condition as conjoining the full
-    substitution — ``conj`` flattens and deduplicates the same flat
-    sequence either way — while the dominant ``Eq`` conjunct costs two
-    index lookups per pair instead of a substitution walk.  Returns
-    ``None`` when an ``Eq`` conjunct references a column outside
-    *arity*, leaving ``instantiate_predicate`` to reject it.
-    """
-    conjuncts = (
-        predicate.children if isinstance(predicate, And) else (predicate,)
-    )
-    compiled: List[Callable[[Tuple[Term, ...]], Formula]] = []
-    for part in conjuncts:
-        if isinstance(part, Eq):
-            left, right = part.left, part.right
-            lindex = column_index(left) if is_column_var(left) else None
-            rindex = column_index(right) if is_column_var(right) else None
-            if (lindex is not None and lindex >= arity) or (
-                rindex is not None and rindex >= arity
-            ):
-                return None
-
-            def instantiate(
-                values: Tuple[Term, ...],
-                left: Term = left,
-                right: Term = right,
-                lindex: Optional[int] = lindex,
-                rindex: Optional[int] = rindex,
-            ) -> Formula:
-                return eq(
-                    left if lindex is None else values[lindex],
-                    right if rindex is None else values[rindex],
-                )
-
-            compiled.append(instantiate)
-        else:
-            compiled.append(partial(instantiate_predicate, part))
-    return tuple(compiled)
-
-
 class _JoinState(_State):
     """``⋈̄``/``×̄``: maintained hash build sides probed by the delta.
 
@@ -432,7 +386,7 @@ class _JoinState(_State):
     """
 
     __slots__ = (
-        "left", "right", "predicate", "compiled", "left_columns",
+        "left", "right", "kernel", "left_columns",
         "right_columns", "equijoin", "left_buckets", "left_symbolic",
         "right_buckets", "right_symbolic", "by_left", "by_right",
     )
@@ -453,18 +407,11 @@ class _JoinState(_State):
         )
         self.left = left
         self.right = right
-        self.predicate: Optional[Formula] = (
-            node.predicate if isinstance(node, JoinNode) else None
-        )
-        self.compiled = (
-            None
-            if self.predicate is None
-            else _compile_conjuncts(self.predicate, self.arity)
-        )
-        if self.predicate is not None:
-            pairs, _residual = split_equijoin(self.predicate, left.arity)
-        else:
-            pairs = []
+        self.kernel: Optional[PredicateKernel] = None
+        pairs: List[Tuple[int, int]] = []
+        if isinstance(node, JoinNode):
+            self.kernel = PredicateKernel(node.predicate, self.arity)
+            pairs, _residual = split_equijoin(node.predicate, left.arity)
         self.equijoin = bool(pairs)
         self.left_columns = tuple(i for i, _ in pairs)
         self.right_columns = tuple(j for _, j in pairs)
@@ -528,34 +475,14 @@ class _JoinState(_State):
         self, lkey: Key, lrow: CRow, rkey: Key, rrow: CRow, group: int
     ) -> Optional[Tuple[Key, CRow]]:
         values = lrow.values + rrow.values
-        compiled = self.compiled
-        if self.equijoin:
-            assert self.predicate is not None
-            if compiled is None:
-                condition = conj(
-                    lrow.condition,
-                    rrow.condition,
-                    instantiate_predicate(self.predicate, values),
-                )
-            else:
-                condition = conj(
-                    lrow.condition,
-                    rrow.condition,
-                    *(part(values) for part in compiled),
-                )
-        else:
-            condition = conj(lrow.condition, rrow.condition)
-            if condition is BOTTOM:
-                return None
-            if self.predicate is not None:
-                if compiled is None:
-                    instantiated = instantiate_predicate(
-                        self.predicate, values
-                    )
-                else:
-                    instantiated = conj(*(part(values) for part in compiled))
-                if instantiated is not TOP:
-                    condition = conj(condition, instantiated)
+        instantiated = (
+            TOP if self.kernel is None else self.kernel.instantiate(values)
+        )
+        if instantiated is BOTTOM:
+            return None
+        # conj flattening makes this join_bar's condition and, for
+        # keyless pairs, select_bar(product_bar(..))'s.
+        condition = conj(lrow.condition, rrow.condition, instantiated)
         if condition is BOTTOM:
             return None
         condition = self._seal(condition)
@@ -809,22 +736,17 @@ class _SetOpState(_State):
         return [rows[key] for key in keys]
 
     def _compose(self, lrow: CRow) -> Formula:
-        candidates = self._candidates(lrow)
+        # A false tuple equality contributes a true conjunct to −̄ and a
+        # false disjunct to ∩̄, which conj/disj would drop anyway.
+        parts = []
+        for r in self._candidates(lrow):
+            equal = tuples_equal(lrow.values, r.values)
+            if equal is not BOTTOM:
+                parts.append(conj(r.condition, equal))
         if self.difference:
-            absent = conj(
-                *(
-                    neg(conj(r.condition, _rows_equal_condition(lrow, r)))
-                    for r in candidates
-                )
-            )
+            absent = conj(*(neg(part) for part in parts))
             return conj(lrow.condition, absent)
-        present = disj(
-            *(
-                conj(r.condition, _rows_equal_condition(lrow, r))
-                for r in candidates
-            )
-        )
-        return conj(lrow.condition, present)
+        return conj(lrow.condition, disj(*parts))
 
     def _refresh_left_row(self, lkey: Key, lrow: CRow, out: NodeDelta) -> None:
         condition = self._seal(self._compose(lrow))

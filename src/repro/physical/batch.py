@@ -34,12 +34,12 @@ class Batch:
     count: an arity-0 batch (a boolean query, e.g. ``π̄_∅``) has no
     columns but still carries one empty value-tuple per condition.
 
-    Concurrency contract: a batch is immutable after construction —
-    columns, conditions, and metadata are never reassigned — so threads
-    sharing a session (and its cached answers) may read one batch
-    concurrently, with no coordination.  The one
-    lazily-computed slot (:meth:`variables`) is a deterministic memo: a
-    racing recomputation stores an equal value, never a different one.
+    A batch is immutable after construction — columns, conditions, and
+    metadata are never reassigned — and lives for one execution: answers
+    are cached as materialized c-tables, never as batches.  The one
+    lazily computed slot (:meth:`variables`) is a deterministic memo,
+    filled only when a finite-domain operand meets this one in
+    :func:`merge_metadata`.
     """
 
     __slots__ = (
@@ -179,10 +179,16 @@ def merge_metadata(left: Batch, right: Batch) -> Tuple[Optional[Dict[str, tuple]
     finite domains, and mixing a finite-domain operand with an
     infinite-domain one that actually has variables is rejected.
     """
-    left_infinite = left.domains is None and left.variables()
-    right_infinite = right.domains is None and right.variables()
-    if (left_infinite and right.domains is not None) or (
-        right_infinite and left.domains is not None
+    # Only a side facing a finite-domain operand needs its variables:
+    # the full walk is skipped when both sides have infinite domains.
+    if (
+        left.domains is None
+        and right.domains is not None
+        and left.variables()
+    ) or (
+        right.domains is None
+        and left.domains is not None
+        and right.variables()
     ):
         raise TableError(
             "cannot combine an infinite-domain c-table with a finite-domain one"

@@ -12,14 +12,13 @@ supplied:
   the ``FilterOp``-over-``ProductOp`` pipeline (the nested-loop shape
   ``join_bar`` falls back to);
 - a :class:`~repro.ctalgebra.plan.SelectNode` becomes a
-  :class:`~repro.physical.operators.FilterOp`; the per-signature
-  residual memo is disabled when the estimates predict nearly every row
-  carries a distinct constant signature (the memo would only miss);
+  :class:`~repro.physical.operators.FilterOp` running the predicate's
+  compiled kernel;
 - the remaining operators map one-to-one.
 
-Every choice preserves the structural-identity contract: whatever the
-lowering picks — build sides, filter strategies — the materialized
-answer equals the interpreted ``execute_plan`` result row-for-row.
+Every choice preserves the structural-identity contract: whatever build
+side the lowering picks, the materialized answer equals the interpreted
+``execute_plan`` result row-for-row.
 """
 
 from __future__ import annotations
@@ -65,27 +64,6 @@ from repro.physical.operators import (
 )
 
 
-#: Below this estimated input size a memo cannot pay for its probes.
-_MEMO_MIN_ROWS = 8.0
-
-
-def _expected_signatures(node: SelectNode, found: Estimate) -> float:
-    """Crude count of distinct constant signatures the filter will see."""
-    from repro.algebra.predicates import predicate_columns
-
-    distinct = 1.0
-    for index in sorted(predicate_columns(node.predicate)):
-        if index < len(found.columns):
-            column = found.columns[index]
-            # Variable terms add (at most) one signature family each;
-            # weigh them in through the non-constant fraction.
-            spread = max(1, column.distinct_constants)
-            distinct *= spread + (1.0 - column.constant_fraction) * spread
-        else:
-            distinct *= _MEMO_MIN_ROWS
-    return distinct
-
-
 def lower(
     plan: PlanNode,
     stats: Optional[Mapping[str, TableStats]] = None,
@@ -127,17 +105,12 @@ def lower(
             op = ProjectOp(recurse(node.child), node.columns)
         elif isinstance(node, SelectNode):
             check_predicate(node.predicate, node.child.arity)
-            child_estimate = found(node.child)
-            memoize = True
-            if child_estimate is not None and child_estimate.rows >= _MEMO_MIN_ROWS:
-                memoize = (
-                    _expected_signatures(node, child_estimate)
-                    < 0.5 * child_estimate.rows
-                )
-            op = FilterOp(recurse(node.child), node.predicate, memoize=memoize)
+            op = FilterOp(recurse(node.child), node.predicate)
         elif isinstance(node, JoinNode):
             check_predicate(node.predicate, node.arity)
-            pairs, residual = split_equijoin(node.predicate, node.left.arity)
+            pairs, _residual = split_equijoin(
+                node.predicate, node.left.arity
+            )
             left_op = recurse(node.left)
             right_op = recurse(node.right)
             if not pairs:
@@ -168,7 +141,6 @@ def lower(
                     left_op,
                     right_op,
                     node.predicate,
-                    residual,
                     tuple(i for i, _ in pairs),
                     tuple(j for _, j in pairs),
                     build_side=build_side,

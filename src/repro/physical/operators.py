@@ -10,38 +10,43 @@ engine flip executors without observable changes.
 
 Where the speed comes from:
 
-- :class:`FilterOp` partially evaluates the selection predicate **once
-  per distinct constant signature** (the tuple of terms in the
-  predicate's columns) and reuses the residual formula across all rows
-  sharing the signature, instead of re-walking the predicate and
-  rebuilding a substitution per row the way ``select_bar`` does;
+- :class:`FilterOp` and :class:`HashJoinOp` compile their predicates
+  once, at construction, into a
+  :class:`~repro.physical.kernels.PredicateKernel` — the same kernel
+  the IVM select and join states run.  On constant rows the kernel
+  folds each (in)equality conjunct to ``true`` or ``false`` without
+  building an atom and stops at the first ``false``; a ``true`` result
+  keeps the row's interned condition object untouched (the
+  ``select_bar`` fast exit, vectorized);
 - :class:`HashJoinOp` generalizes the fused ``join_bar`` to any equijoin
   keys the planner found, with the *build side chosen by the
-  cardinality estimates* and the same per-signature predicate memo plus
-  a condition-composition memo (pairs of interned formulas repeat
-  heavily in generated and real workloads);
+  cardinality estimates*; on hash-matched pairs the kernel folds the
+  equijoin conjuncts to ``true`` on their constants;
 - :class:`ProjectOp` deduplicates projected rows through one hash pass,
   disjoining the conditions of now-identical rows (the paper's ``π̄``);
 - :class:`DifferenceOp`/:class:`IntersectOp` reuse the constant-tuple
-  hash-bucket scheme of the lifted operators and memoize the whole
-  membership condition per distinct left value-tuple.
+  hash-bucket scheme of the lifted operators, fold a candidate pair to
+  ``false`` as soon as two constants in one column disagree, and
+  memoize the whole membership condition per distinct left value-tuple.
 
 Each operator's work is split three ways: ``compute`` consumes
 already-materialized input batches (``execute`` only adds the
 pull-based recursion over children), the build-once state (hash-join
-partitions, membership indexes, composer memos) is constructed by
-separate helpers, and the per-row loops are *range kernels* that accept
-an arbitrary row range, sealed into a batch by a separate ``seal``
-step.  The batch path runs the kernels over ``range(n)``; keeping them
-separable lets another driver — delta propagation, say — share the
-exact kernels and so produce structurally identical outputs.
+partitions, membership indexes) is constructed by separate helpers, and
+the per-row loops are *range kernels* that accept an arbitrary row
+range, sealed into a batch by a separate ``seal`` step.  The batch path
+runs the kernels over ``range(n)``; keeping them separable lets another
+caller — delta propagation, say — share the exact kernels and so
+produce structurally identical outputs.
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -60,9 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 from repro.errors import ArityError, QueryError, nearest_name
 from repro.logic.atoms import Const, Term, eq
 from repro.logic.syntax import BOTTOM, TOP, Formula, conj, disj, neg
-from repro.logic.evaluation import substitute
 from repro.tables.ctable import CTable
 from repro.physical.batch import Batch, merge_metadata
+from repro.physical.kernels import PredicateKernel, tuples_equal
 
 #: (left row, right row, composed condition) emitted by join/product loops.
 _Pair = Tuple[int, int, Formula]
@@ -280,34 +285,24 @@ class EmptyOp(PhysicalOp):
 # ----------------------------------------------------------------------
 
 class FilterOp(PhysicalOp):
-    """Vectorized ``σ̄``: one predicate instantiation per constant signature.
+    """Vectorized ``σ̄``: one compiled predicate kernel run per row.
 
-    The predicate's column variables and their ``@i`` names are resolved
-    at lowering time; execution takes one pass over the batch, looking
-    each row's *signature* (its terms in the predicate columns) up in a
-    memo of residual formulas.  A residual of ``true`` keeps the row's
-    original interned condition object untouched — no conjunction is
-    allocated at all (the ``select_bar`` fast exit, vectorized); a
-    residual of ``false`` drops the row before it is ever materialized.
-
-    ``memoize=False`` (chosen by ``lower()`` when the estimates say
-    nearly every row has a distinct signature) skips the memo and
-    instantiates per row — still with the hoisted column resolution.
+    The predicate is compiled once, at construction, into a
+    :class:`~repro.physical.kernels.PredicateKernel`; execution takes
+    one pass over the batch.  A row whose constants fold the predicate
+    to ``true`` keeps its original interned condition object — no
+    conjunction is allocated at all (the ``select_bar`` fast exit,
+    vectorized); a ``false`` fold drops the row before it is ever
+    materialized.
     """
 
-    __slots__ = ("child", "predicate", "memoize", "_pred_columns", "_names")
+    __slots__ = ("child", "predicate", "kernel")
 
-    def __init__(
-        self, child: PhysicalOp, predicate: Formula, memoize: bool = True
-    ) -> None:
+    def __init__(self, child: PhysicalOp, predicate: Formula) -> None:
         super().__init__()
-        from repro.algebra.predicates import col, predicate_columns
-
         self.child = child
         self.predicate = predicate
-        self.memoize = memoize
-        self._pred_columns = tuple(sorted(predicate_columns(predicate)))
-        self._names = tuple(col(index).name for index in self._pred_columns)
+        self.kernel = PredicateKernel(predicate, child.arity)
 
     @property
     def arity(self) -> int:
@@ -318,44 +313,36 @@ class FilterOp(PhysicalOp):
 
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         (child,) = inputs
-        memo: Dict[Tuple[Term, ...], Formula] = {}
         keep, kept_conditions, unchanged = self.filter_range(
-            child, range(len(child.conditions)), memo
+            child, range(len(child.conditions))
         )
         return self.seal(ctx, child, keep, kept_conditions, unchanged)
 
     def filter_range(
-        self,
-        child: Batch,
-        rows: Iterable[int],
-        memo: Dict[Tuple[Term, ...], Formula],
+        self, child: Batch, rows: range
     ) -> Tuple[List[int], List[Formula], bool]:
-        """The filter kernel over an arbitrary row range of *child*.
+        """The filter kernel over a row range of *child*.
 
         Returns the kept row indexes, their composed conditions, and
         whether every visited row survived with its original interned
-        condition object.  *memo* may be shared across concurrent range
-        invocations: residuals are interned formulas, so a racing
-        recomputation stores the identical object.
+        condition object.  Row tuples are zipped out of the columns one
+        at a time; a list of all of them would outlive young garbage
+        collections and bring on more full ones.
         """
-        signature_columns = [child.columns[c] for c in self._pred_columns]
+        instantiate = self.kernel.instantiate
         conditions = child.conditions
-        predicate = self.predicate
-        names = self._names
-        memoize = self.memoize
         keep: List[int] = []
         kept_conditions: List[Formula] = []
         unchanged = True
-        for row in rows:
-            signature = tuple(column[row] for column in signature_columns)
-            residual = memo.get(signature) if memoize else None
-            if residual is None:
-                residual = substitute(predicate, dict(zip(names, signature)))
-                if memoize:
-                    memo[signature] = residual
+        tuples = islice(child.rows(), rows.start, rows.stop, rows.step)
+        for row, values in zip(rows, tuples):
+            residual = instantiate(values)
             if residual is TOP:
                 keep.append(row)
                 kept_conditions.append(conditions[row])
+                continue
+            if residual is BOTTOM:
+                unchanged = False
                 continue
             condition = conj(conditions[row], residual)
             if condition is BOTTOM:
@@ -394,8 +381,7 @@ class FilterOp(PhysicalOp):
         )
 
     def label(self) -> str:
-        suffix = "" if self.memoize else " per-row"
-        return f"Filter[{self.predicate!r}]{suffix}"
+        return f"Filter[{self.predicate!r}]"
 
 
 # ----------------------------------------------------------------------
@@ -488,99 +474,26 @@ def _constant_key(
     return tuple(key)
 
 
-class _PairComposer:
-    """Shared condition composition for pairing operators.
+def _pair_condition(
+    kernel: PredicateKernel, left: Batch, right: Batch
+) -> Callable[[int, int], Formula]:
+    """``(i, j) ↦ conj(l.condition, r.condition, c(t₁t₂))`` for two batches.
 
-    Instantiation is memoized per predicate-column *signature* and the
-    three-way conjunction per (left condition, right condition, residual)
-    triple — all interned objects, so the keys hash by identity.
-
-    Hash-*matched* pairs (both key columns constant and equal) get a
-    cheaper route: their equijoin conjuncts are known to fold to
-    ``true``, so only the residual predicate is instantiated, over a
-    much smaller signature.  ``conj`` flattening makes the composed
-    condition structurally identical to the full instantiation.
+    The kernel runs over the concatenation of the two rows' value
+    tuples; on hash-matched pairs it folds the equijoin conjuncts to
+    ``true`` on their constants, so only the residual can survive.
     """
+    left_rows, right_rows = list(left.rows()), list(right.rows())
+    left_conditions, right_conditions = left.conditions, right.conditions
+    instantiate = kernel.instantiate
 
-    __slots__ = (
-        "predicate", "left", "right",
-        "_full_spec", "_res_spec", "_full_inst", "_res_inst", "_conj",
-    )
+    def pair_condition(i: int, j: int) -> Formula:
+        instantiated = instantiate(left_rows[i] + right_rows[j])
+        if instantiated is BOTTOM:
+            return BOTTOM
+        return conj(left_conditions[i], right_conditions[j], instantiated)
 
-    def __init__(
-        self,
-        predicate: Formula,
-        residual: Formula,
-        left: Batch,
-        right: Batch,
-    ) -> None:
-        self.left = left
-        self.right = right
-        self.predicate = predicate
-        self._full_spec = self._spec(predicate, left.arity)
-        self._res_spec = self._spec(residual, left.arity)
-        self._full_inst: Dict[tuple, Formula] = {}
-        self._res_inst: Dict[tuple, Formula] = {}
-        self._conj: Dict[tuple, Formula] = {}
-
-    @staticmethod
-    def _spec(
-        predicate: Formula, left_arity: int
-    ) -> Tuple[Formula, Tuple[str, ...], Tuple[int, ...], Tuple[int, ...]]:
-        """(predicate, ``@i`` names, left columns, right columns)."""
-        from repro.algebra.predicates import col, predicate_columns
-
-        mentioned = tuple(sorted(predicate_columns(predicate)))
-        names = tuple(col(index).name for index in mentioned)
-        left_pred = tuple(i for i in mentioned if i < left_arity)
-        right_pred = tuple(
-            i - left_arity for i in mentioned if i >= left_arity
-        )
-        return (predicate, names, left_pred, right_pred)
-
-    def _instantiate(
-        self,
-        spec: Tuple[Formula, Tuple[str, ...], Tuple[int, ...], Tuple[int, ...]],
-        memo: Dict[tuple, Formula],
-        i: int,
-        j: int,
-    ) -> Formula:
-        predicate, names, left_pred, right_pred = spec
-        signature = tuple(
-            self.left.columns[c][i] for c in left_pred
-        ) + tuple(self.right.columns[c][j] for c in right_pred)
-        instantiated = memo.get(signature)
-        if instantiated is None:
-            instantiated = substitute(predicate, dict(zip(names, signature)))
-            memo[signature] = instantiated
-        return instantiated
-
-    def _compose(
-        self, left_condition: Formula, right_condition: Formula,
-        instantiated: Formula,
-    ) -> Formula:
-        key = (left_condition, right_condition, instantiated)
-        composed = self._conj.get(key)
-        if composed is None:
-            composed = conj(left_condition, right_condition, instantiated)
-            self._conj[key] = composed
-        return composed
-
-    def condition(self, i: int, j: int) -> Formula:
-        """``conj(l.condition, r.condition, c(t₁t₂))``, full predicate."""
-        return self._compose(
-            self.left.conditions[i],
-            self.right.conditions[j],
-            self._instantiate(self._full_spec, self._full_inst, i, j),
-        )
-
-    def matched_condition(self, i: int, j: int) -> Formula:
-        """The pair condition when the constant equijoin keys agree."""
-        return self._compose(
-            self.left.conditions[i],
-            self.right.conditions[j],
-            self._instantiate(self._res_spec, self._res_inst, i, j),
-        )
+    return pair_condition
 
 
 def _gather_pairs(
@@ -616,8 +529,8 @@ class HashJoinOp(PhysicalOp):
     """
 
     __slots__ = (
-        "left", "right", "predicate", "residual",
-        "left_keys", "right_keys", "build_side",
+        "left", "right", "predicate", "left_keys", "right_keys",
+        "build_side", "kernel",
     )
 
     def __init__(
@@ -625,7 +538,6 @@ class HashJoinOp(PhysicalOp):
         left: PhysicalOp,
         right: PhysicalOp,
         predicate: Formula,
-        residual: Formula,
         left_keys: Tuple[int, ...],
         right_keys: Tuple[int, ...],
         build_side: str = "right",
@@ -636,10 +548,10 @@ class HashJoinOp(PhysicalOp):
         self.left = left
         self.right = right
         self.predicate = predicate
-        self.residual = residual
         self.left_keys = tuple(left_keys)
         self.right_keys = tuple(right_keys)
         self.build_side = build_side
+        self.kernel = PredicateKernel(predicate, left.arity + right.arity)
 
     @property
     def arity(self) -> int:
@@ -650,16 +562,16 @@ class HashJoinOp(PhysicalOp):
 
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         left, right = inputs
-        composer = _PairComposer(self.predicate, self.residual, left, right)
+        pair_condition = _pair_condition(self.kernel, left, right)
         if self.build_side == "right":
             build = self.build(right, self.right_keys)
             pairs = self.probe_left(
-                left, right, composer, build, range(len(left))
+                left, right, pair_condition, build, range(len(left))
             )
         else:
             build = self.build(left, self.left_keys)
             ranked = self.probe_right(
-                left, right, composer, build, range(len(right))
+                left, right, pair_condition, build, range(len(right))
             )
             pairs = self.restore_order(ranked)
         return self.seal(ctx, left, right, pairs)
@@ -670,10 +582,8 @@ class HashJoinOp(PhysicalOp):
 
         ``keyed[row]`` is False exactly for the symbolic rows — the
         probe-right rank pass needs it per probed row, so it is derived
-        here once rather than per probe range.  The returned structures
-        are read-only during probing, so a lowered tree cached by a
-        session shared across threads may probe them without
-        coordination.
+        here once rather than per probe range.  The structures belong to
+        one ``compute`` call and are read-only while it probes them.
         """
         buckets: Dict[tuple, List[int]] = {}
         symbolic: List[int] = []
@@ -691,7 +601,7 @@ class HashJoinOp(PhysicalOp):
         self,
         left: Batch,
         right: Batch,
-        composer: "_PairComposer",
+        pair_condition: Callable[[int, int], Formula],
         build: _BuildIndex,
         rows: Iterable[int],
     ) -> List[_Pair]:
@@ -707,20 +617,14 @@ class HashJoinOp(PhysicalOp):
             key = _constant_key(left.columns, self.left_keys, i)
             if key is None:
                 for j in all_right:
-                    condition = composer.condition(i, j)
+                    condition = pair_condition(i, j)
                     if condition is not BOTTOM:
                         pairs.append((i, j, condition))
                 continue
-            matched = buckets.get(key)
-            if matched is not None:
-                # Constant keys agree: the equijoin conjuncts fold to
-                # true, only the residual predicate needs instantiating.
-                for j in matched:
-                    condition = composer.matched_condition(i, j)
-                    if condition is not BOTTOM:
-                        pairs.append((i, j, condition))
-            for j in symbolic:
-                condition = composer.condition(i, j)
+            # Bucket matches first, then the symbolic rows (join_bar's
+            # candidate order).
+            for j in chain(buckets.get(key, ()), symbolic):
+                condition = pair_condition(i, j)
                 if condition is not BOTTOM:
                     pairs.append((i, j, condition))
         return pairs
@@ -729,7 +633,7 @@ class HashJoinOp(PhysicalOp):
         self,
         left: Batch,
         right: Batch,
-        composer: "_PairComposer",
+        pair_condition: Callable[[int, int], Formula],
         build: _BuildIndex,
         rows: Iterable[int],
     ) -> List[Tuple[int, int, int, Formula]]:
@@ -750,20 +654,14 @@ class HashJoinOp(PhysicalOp):
             key = _constant_key(right.columns, self.right_keys, j)
             if key is None:
                 for i in all_left:
-                    condition = composer.condition(i, j)
+                    condition = pair_condition(i, j)
                     if condition is BOTTOM:
                         continue
                     flag = 1 if left_keyed[i] else 0
                     ranked.append((i, flag, j, condition))
                 continue
-            matched = buckets.get(key)
-            if matched is not None:
-                for i in matched:
-                    condition = composer.matched_condition(i, j)
-                    if condition is not BOTTOM:
-                        ranked.append((i, 0, j, condition))
-            for i in symbolic:
-                condition = composer.condition(i, j)
+            for i in chain(buckets.get(key, ()), symbolic):
+                condition = pair_condition(i, j)
                 if condition is not BOTTOM:
                     ranked.append((i, 0, j, condition))
         return ranked
@@ -823,8 +721,9 @@ class ProductOp(PhysicalOp):
     ) -> list:
         """Pair a range of left rows with every right row, left-major.
 
-        *memo* may be shared across concurrent ranges: ``conj`` interns,
-        so racing stores write the identical object.
+        *memo* caches ``conj`` per (left, right) condition pair for one
+        ``compute`` call; conditions are interned, so the keys hash by
+        identity.
         """
         pairs = []
         left_conditions = left.conditions
@@ -915,10 +814,11 @@ class _MembershipIndex:
     rows (common after projections) pay for it once.
     """
 
-    __slots__ = ("right", "_buckets", "_symbolic", "_eq", "_memo")
+    __slots__ = ("right", "_rows", "_buckets", "_symbolic", "_memo")
 
     def __init__(self, right: Batch) -> None:
         self.right = right
+        self._rows = list(right.rows())
         self._buckets: Dict[tuple, List[int]] = {}
         self._symbolic: List[int] = []
         for j in range(len(right)):
@@ -927,7 +827,6 @@ class _MembershipIndex:
                 self._symbolic.append(j)
             else:
                 self._buckets.setdefault(key, []).append(j)
-        self._eq: Dict[Tuple[tuple, int], Formula] = {}
         self._memo: Dict[tuple, Formula] = {}
 
     def _candidates(self, values: tuple) -> Sequence[int]:
@@ -941,29 +840,24 @@ class _MembershipIndex:
             return sorted(matched + self._symbolic)
         return matched
 
-    def _equal_condition(self, values: tuple, j: int) -> Formula:
-        cached = self._eq.get((values, j))
-        if cached is None:
-            cached = conj(
-                *(
-                    eq(term, column[j])
-                    for term, column in zip(values, self.right.columns)
-                )
-            )
-            self._eq[(values, j)] = cached
-        return cached
-
     def membership(self, values: tuple, negated: bool) -> Formula:
-        """``⋀ ¬(ϕ_{t₂} ∧ t₁=t₂)`` or ``⋁ (ϕ_{t₂} ∧ t₁=t₂)`` for *values*."""
+        """``⋀ ¬(ϕ_{t₂} ∧ t₁=t₂)`` or ``⋁ (ϕ_{t₂} ∧ t₁=t₂)`` for *values*.
+
+        A ``false`` equality drops its right row: ``¬false`` is a
+        ``true`` conjunct and ``false`` a ``false`` disjunct, both of
+        which ``conj``/``disj`` would discard anyway.
+        """
         key = (values, negated)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         right_conditions = self.right.conditions
-        parts = [
-            conj(right_conditions[j], self._equal_condition(values, j))
-            for j in self._candidates(values)
-        ]
+        right_rows = self._rows
+        parts: List[Formula] = []
+        for j in self._candidates(values):
+            equal = tuples_equal(values, right_rows[j])
+            if equal is not BOTTOM:
+                parts.append(conj(right_conditions[j], equal))
         if negated:
             result = conj(*(neg(part) for part in parts))
         else:
@@ -1005,9 +899,9 @@ class _SetDifferenceBase(PhysicalOp):
     ) -> Tuple[List[int], List[Formula]]:
         """Compose membership conditions for a range of left rows.
 
-        The index's buckets are read-only after construction; its
-        condition memos are interning-idempotent, so threads sharing a
-        session may probe one index concurrently.
+        *index* is built by the same ``compute`` call; its buckets are
+        read-only after construction and its membership memo fills as
+        distinct left value-tuples arrive.
         """
         keep: List[int] = []
         conditions: List[Formula] = []

@@ -19,6 +19,7 @@ from repro import (
     Engine,
     Instance,
     TableError,
+    TOP,
     Var,
     col_eq,
     col_eq_const,
@@ -46,11 +47,13 @@ from repro.ctalgebra.lifted import select_bar
 from repro.ctalgebra.translate import plan_for_query
 from repro.engine.cache import ResultCache
 from repro.physical import (
+    Batch,
     FilterOp,
     HashJoinOp,
     execute_plan_vectorized,
     explain_physical,
     lower,
+    merge_metadata,
 )
 
 X, Y = Var("x"), Var("y")
@@ -470,25 +473,28 @@ class TestExplainPhysical:
         snapshot = dataset.explain(physical=True)
         assert "HashJoin" in snapshot
 
-    def test_filter_strategy_is_estimate_driven(self):
-        # A near-unique key column → the residual memo cannot pay;
-        # lower() switches the filter to per-row instantiation.
+    def test_filter_lowering_ignores_signature_estimates(self):
+        # One compiled kernel per filter: a near-unique and a repetitive
+        # key column lower to the same FilterOp, with no strategy label.
         unique = CTable(
             [((i, i % 3), ne(X, i % 2)) for i in range(64)], arity=2
         )
-        tables = {"V": unique}
-        query = sel(rel("V", 2), col_eq_const(0, 7))
-        plan = plan_for_query(query, tables, optimize=False)
-        lowered = lower(plan, collect_stats(tables))
-        filters = [op for op in lowered.walk() if isinstance(op, FilterOp)]
-        assert filters and not filters[0].memoize
         repetitive = CTable(
             [((i % 3, i % 5), ne(X, i % 2)) for i in range(64)], arity=2
         )
-        lowered = lower(plan, collect_stats({"V": repetitive}))
-        filters = [op for op in lowered.walk() if isinstance(op, FilterOp)]
-        assert filters and filters[0].memoize
-        assert "per-row" not in explain_physical(lowered)
+        query = sel(rel("V", 2), col_eq_const(0, 7))
+        shapes = []
+        for table in (unique, repetitive):
+            tables = {"V": table}
+            plan = plan_for_query(query, tables, optimize=False)
+            lowered = lower(plan, collect_stats(tables))
+            rendered = explain_physical(lowered)
+            assert " per-row" not in rendered
+            shapes.append(
+                [(type(op).__name__, op.label()) for op in lowered.walk()]
+            )
+            assert any(isinstance(op, FilterOp) for op in lowered.walk())
+        assert shapes[0] == shapes[1]
 
 
 class TestSelectBarFastExit:
@@ -504,3 +510,26 @@ class TestSelectBarFastExit:
         selected = select_bar(table, col_eq_const(0, 1))
         assert len(selected) == 1
         assert selected.rows[0] is table.rows[0]
+
+
+class TestMergeMetadata:
+    """The finite/infinite domain check walks variables only when needed."""
+
+    def test_infinite_with_variables_plus_finite_raises(self):
+        infinite = Batch.from_ctable(CTable([((Var("x"),), TOP)], arity=1))
+        finite = Batch.from_ctable(
+            CTable([((Var("y"),), TOP)], arity=1, domains={"y": (1, 2)})
+        )
+        with pytest.raises(TableError):
+            merge_metadata(infinite, finite)
+        with pytest.raises(TableError):
+            merge_metadata(finite, infinite)
+
+    def test_infinite_plus_infinite_skips_the_variable_walk(self):
+        left = Batch.from_ctable(CTable([((Var("x"),), TOP)], arity=1))
+        right = Batch.from_ctable(
+            CTable([((1,), eq(Var("y"), 2))], arity=1)
+        )
+        domains, global_condition = merge_metadata(left, right)
+        assert domains is None and global_condition is TOP
+        assert left._vars is None and right._vars is None
