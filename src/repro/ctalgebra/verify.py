@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Set, Tuple
 from repro.errors import PlanVerificationError, QueryError, nearest_name
 from repro.logic.atoms import Const, Eq, Term, Var, boolvar
 from repro.logic.equality_sat import is_satisfiable_skeleton
-from repro.logic.syntax import Bottom, Formula, is_atom, is_interned, walk
+from repro.logic.syntax import BOTTOM, Bottom, Formula, is_atom, is_interned, walk
 from repro.algebra.ast import Query, RelVar
 from repro.algebra.predicates import column_index, is_column_var
 from repro.ctalgebra.plan import (
@@ -249,7 +249,9 @@ class PlanVerifier:
         tree is node-for-node isomorphic to the plan, every state's
         arity matches its plan node, and every state's maintained sort
         order is strictly increasing over exactly its row keys (the
-        positional backbone of the rerun-order guarantee).
+        positional backbone of the rerun-order guarantee), and no state
+        holds a row whose condition is ``BOTTOM`` (view materialization
+        hands the root's rows to the trusted constructor unfiltered).
         """
         from repro.ivm.view import (  # local: ivm sits above ctalgebra
             MaterializedView,
@@ -334,6 +336,13 @@ class PlanVerifier:
                     "view",
                     f"maintained row list at {node.label()} disagrees "
                     "with the keyed rows",
+                    node=node,
+                )
+            if any(row.condition is BOTTOM for row in ordered):
+                raise PlanVerificationError(
+                    "view",
+                    f"maintained state at {node.label()} holds a row "
+                    "whose condition is false",
                     node=node,
                 )
             children = state.children()

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from fractions import Fraction
 from time import perf_counter
@@ -159,11 +160,18 @@ class _Registered:
     the mutation API hands out fresh ids from ``next_row_id`` and never
     recycles them).  Ascending row id *is* the rows' order, which the
     incremental-maintenance layer relies on to reproduce rerun order.
+
+    ``occurrences`` maps each distinct row to its row ids in ascending
+    order, so a delete finds the last structurally equal occurrence by
+    one dict lookup instead of a reverse scan of the table.  It is
+    built from the current rows on the relation's first delete or
+    update (registration pays nothing), kept up to date by every later
+    mutation, and dropped by a re-register, which creates a fresh entry.
     """
 
     __slots__ = (
         "source", "ctable", "stats", "accumulator", "distributions",
-        "row_ids", "next_row_id",
+        "row_ids", "next_row_id", "occurrences",
     )
 
     def __init__(
@@ -181,6 +189,7 @@ class _Registered:
         self.distributions = distributions
         self.row_ids: List[int] = list(range(len(ctable.rows)))
         self.next_row_id = len(ctable.rows)
+        self.occurrences: Optional[Dict[CRow, List[int]]] = None
 
 
 class _PlanEntry:
@@ -656,7 +665,11 @@ class Session:
         occurrence (same values, same interned condition) — so an
         insert followed by a delete of the same rows restores the
         relation byte-identically even when earlier duplicates exist.
-        A row that is not present raises :class:`TableError`.
+        A row given *k* times in one call removes its last *k*
+        occurrences.  A row that is not present raises
+        :class:`TableError` before any state changes.  The occurrence
+        lookup costs time proportional to the rows given, not to the
+        rows stored.
         """
         return self._mutate(name, tuple(rows), (), "delete")
 
@@ -691,20 +704,38 @@ class Session:
         return normalized
 
     @staticmethod
-    def _rebuild_table(old: CTable, rows: Sequence[CRow]) -> CTable:
-        """A same-metadata table with the mutated row sequence.
+    def _rebuild_table(
+        old: CTable, survivors: List[CRow], inserted: Sequence[CRow]
+    ) -> CTable:
+        """A same-metadata table holding *survivors* then *inserted*.
 
-        The constructor re-validates arity and finite-domain coverage,
-        so a malformed mutation raises before any state changes.
+        Only the inserted rows go through the table's own constructor,
+        which applies its arity, finite-domain coverage and (for a
+        boolean c-table) admissibility checks, so a malformed mutation
+        raises the constructor's error before any state changes.  The
+        survivors were validated when they entered the table and the
+        metadata is unchanged, so the result is assembled by the
+        trusted constructor without re-checking them.  *survivors* is
+        consumed.
         """
+        domains = None
         if isinstance(old, BooleanCTable):
-            return BooleanCTable(
-                rows, arity=old.arity, global_condition=old.global_condition
+            checked: CTable = BooleanCTable(
+                inserted, arity=old.arity, global_condition=old.global_condition
             )
-        return CTable(
-            rows,
-            arity=old.arity,
-            domains=old.domains,
+        else:
+            domains = old.domains
+            checked = CTable(
+                inserted,
+                arity=old.arity,
+                domains=domains,
+                global_condition=old.global_condition,
+            )
+        survivors.extend(checked.rows)
+        return type(checked).from_normalized_rows(
+            survivors,
+            old.arity,
+            domains=domains,
             global_condition=old.global_condition,
         )
 
@@ -719,38 +750,65 @@ class Session:
         old_table = entry.ctable
         delete_rows = self._coerce_rows(deletes)
         # Rows whose condition is already false can never appear — the
-        # c-table constructor drops them, so the delta must too.
+        # c-table constructor drops them, so the delta must too (and the
+        # trusted constructor assembling the new table relies on it).
         insert_rows = [
             row for row in self._coerce_rows(inserts)
             if row.condition != BOTTOM
         ]
-        working = list(old_table.rows)
-        ids = list(entry.row_ids)
+        # Validate first, mutate last: nothing below touches the entry
+        # (or its occurrence index) until every check has passed.
+        index = entry.occurrences
         removed: List[Tuple[int, CRow]] = []
-        for row in delete_rows:
-            for index in range(len(working) - 1, -1, -1):
-                if working[index] == row:
-                    break
-            else:
-                raise TableError(
-                    f"cannot delete from {name!r}: row {row!r} is not present"
-                )
-            working.pop(index)
-            removed.append((ids.pop(index), row))
+        taken: Dict[CRow, int] = {}
+        if delete_rows:
+            if index is None:
+                index = {}
+                for row, row_id in zip(old_table.rows, entry.row_ids):
+                    index.setdefault(row, []).append(row_id)
+            # The k-th delete of a row in one call removes its k-th
+            # from last occurrence, as k successive reverse scans would.
+            for row in delete_rows:
+                count = taken.get(row, 0) + 1
+                occurrences = index.get(row)
+                if occurrences is None or len(occurrences) < count:
+                    raise TableError(
+                        f"cannot delete from {name!r}: row {row!r} is not present"
+                    )
+                taken[row] = count
+                removed.append((occurrences[-count], row))
         next_id = entry.next_row_id
         added = [
             (next_id + offset, row) for offset, row in enumerate(insert_rows)
         ]
-        new_table = self._rebuild_table(
-            old_table, working + [row for _, row in added]
-        )
+        survivors = list(old_table.rows)
+        ids = list(entry.row_ids)
+        # Row ids ascend in row order, so bisect finds each position;
+        # deleting from the back keeps the earlier positions valid.
+        for position in sorted(
+            (bisect_left(entry.row_ids, row_id) for row_id, _ in removed),
+            reverse=True,
+        ):
+            del survivors[position]
+            del ids[position]
+        new_table = self._rebuild_table(old_table, survivors, insert_rows)
         if self._engine.config.verify_plans:
             PlanVerifier(mode=self._engine.config.verify_mode).verify_ctable(
                 name, new_table
             )
         entry.ctable = new_table
-        entry.row_ids = ids + [row_id for row_id, _ in added]
+        ids.extend(row_id for row_id, _ in added)
+        entry.row_ids = ids
         entry.next_row_id = next_id + len(added)
+        if index is not None:
+            for row, count in taken.items():
+                if count == len(index[row]):
+                    del index[row]
+                else:
+                    del index[row][-count:]
+            for row_id, row in added:
+                index.setdefault(row, []).append(row_id)
+            entry.occurrences = index
         entry.accumulator.remove_rows(row for _, row in removed)
         entry.accumulator.add_rows(insert_rows)
         entry.stats = entry.accumulator.stats()

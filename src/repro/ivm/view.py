@@ -1002,10 +1002,9 @@ class MaterializedView:
 
     def _materialize(self) -> CTable:
         # State rows are prior c-table machinery output — already
-        # normalized CRows of the root's arity — so the trusted
-        # constructor applies (it still drops sealed-BOTTOM rows, which
-        # is what keeps the result identical to the kernels' CTable
-        # construction).
+        # normalized CRows of the root's arity, and never BOTTOM since
+        # every state checks before ``_store`` — so the trusted
+        # constructor applies without filtering.
         root = self.root
         assert root is not None
         return CTable.from_normalized_rows(

@@ -188,20 +188,20 @@ class CTable(Table):
     ) -> "CTable":
         """Fast-path constructor for already-normalized :class:`CRow` rows.
 
-        Skips per-row coercion, arity inference, and domain-coverage
-        validation — the caller vouches that every row is a ``CRow`` of
-        the declared arity with an interned condition, and that
-        *domains* (tuple-valued, or ``None``) already covers the
-        variables.  Rows with a false condition are still dropped, by
-        identity: conditions are hash-consed, so any condition equal to
-        ``BOTTOM`` *is* the interned ``BOTTOM`` object.  Built for hot
-        producers like incremental view materialization whose row
-        sources are prior c-table machinery output.
+        Skips per-row coercion, arity inference, domain-coverage and
+        subclass validation, and the filter dropping false rows — the
+        caller vouches that every row is a ``CRow`` of the declared
+        arity whose condition is not ``false``, and that *domains*
+        (tuple-valued, or ``None``) already covers the variables.  Two
+        callers rely on it: ``Session`` mutations, which drop ``false``
+        inserts up front and validate the inserted rows through the
+        table's own constructor, and incremental view materialization,
+        whose operator states never store a ``BOTTOM`` row
+        (``PlanVerifier.verify_view`` checks that).  The cost is one
+        ``tuple`` of the rows.
         """
         table = cls.__new__(cls)
-        table._rows = tuple(
-            row for row in rows if row.condition is not BOTTOM
-        )
+        table._rows = tuple(rows)
         table._arity = arity
         table._global = global_condition
         table._vars_cache = None

@@ -47,6 +47,7 @@ from repro.ctalgebra.plan import StatsAccumulator, TableStats
 from repro.errors import PlanVerificationError
 from repro.logic.atoms import BoolVar
 from repro.logic.syntax import BOTTOM, TOP
+from repro.tables.ctable import CRow, make_row
 from repro.obs.names import (
     IVM_DELTA_ROWS_TOTAL,
     IVM_MUTATIONS_TOTAL,
@@ -112,11 +113,10 @@ class TestMutationAPI:
         duplicated = CTable([((1, 1), TOP), ((2, 2), TOP), ((1, 1), TOP)], arity=2)
         session = engine.session(V=duplicated, W=small_tables()["W"])
         session.delete("V", [((1, 1), TOP)])
-        values = [row.values for row in session.table("V").rows]
-        assert values.count(session.table("V").rows[0].values) >= 1
-        assert len(session.table("V").rows) == 2
         # The FIRST (1,1) survived — last-occurrence semantics.
-        assert session.table("V").rows[0].values == duplicated.rows[0].values
+        assert session.table("V").rows == duplicated.rows[:2]
+        assert session.table("V").rows[0] is duplicated.rows[0]
+        assert session._entry("V").row_ids == [0, 1]
 
     def test_delete_missing_row_raises(self):
         session = incremental_engine().session(**small_tables())
@@ -167,6 +167,265 @@ class TestMutationAPI:
         assert metrics.counter_value(
             IVM_DELTA_ROWS_TOTAL, {"sign": "insert"}
         ) == 1.0
+
+
+# ----------------------------------------------------------------------
+# The mutation API against a reference model of the reverse scan
+# ----------------------------------------------------------------------
+
+class ReverseScanModel:
+    """One relation under the original mutation algorithm: each deleted
+    row is found by scanning the rows backwards for the last equal
+    occurrence, one row at a time."""
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+        self.row_ids = list(range(len(self.rows)))
+        self.next_row_id = len(self.rows)
+
+    def mutate(self, deletes, inserts):
+        """Apply one call; returns its ``(delete_ids, insert_ids)``."""
+        rows, row_ids, delete_ids = list(self.rows), list(self.row_ids), []
+        for row in deletes:
+            for index in range(len(rows) - 1, -1, -1):
+                if rows[index] == row:
+                    break
+            else:
+                raise TableError(f"row {row!r} is not present")
+            rows.pop(index)
+            delete_ids.append(row_ids.pop(index))
+        kept = [row for row in inserts if row.condition != BOTTOM]
+        insert_ids = list(
+            range(self.next_row_id, self.next_row_id + len(kept))
+        )
+        self.rows = rows + kept
+        self.row_ids = row_ids + insert_ids
+        self.next_row_id += len(kept)
+        return delete_ids, insert_ids
+
+
+SCRIPT_CONDITIONS = (TOP, TOP, eq(X, 1), ne(Y, 2))
+
+
+def script_row(rng):
+    """A row from a small value pool, so duplicates are common; one in
+    ten carries a false condition and must be dropped on insert."""
+    condition = BOTTOM if rng.random() < 0.1 else rng.choice(SCRIPT_CONDITIONS)
+    return make_row((rng.randrange(3), rng.randrange(2)), condition)
+
+
+def copy_of(row):
+    """An equal but distinct row object: deletes match by structure."""
+    return CRow(row.values, row.condition)
+
+
+def duplicated_rows(rows):
+    return [row for row in rows if rows.count(row) > 1]
+
+
+def script_table(rng):
+    rows = [
+        make_row(
+            (rng.randrange(3), rng.randrange(2)), rng.choice(SCRIPT_CONDITIONS)
+        )
+        for _ in range(rng.randint(4, 8))
+    ]
+    rows += [copy_of(rng.choice(rows)) for _ in range(2)]
+    return CTable(rows, arity=2)
+
+
+def standing_view(session, prepared):
+    config = prepared.config
+    return session._views[
+        (prepared.query, config.optimize, config.simplify_conditions)
+    ]
+
+
+def assert_index_matches(session, name):
+    entry = session._entry(name)
+    if entry.occurrences is None:
+        return
+    rebuilt = {}
+    for row, row_id in zip(entry.ctable.rows, entry.row_ids):
+        rebuilt.setdefault(row, []).append(row_id)
+    assert entry.occurrences == rebuilt
+
+
+class TestMutationReferenceModel:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_scripts_match_the_reverse_scan(self, seed):
+        rng = random.Random(seed)
+        engine = incremental_engine()
+        session = engine.session(V=script_table(rng), W=small_tables()["W"])
+        model = ReverseScanModel(session.table("V").rows)
+        views = [
+            session.prepare(JOIN),
+            session.prepare(union(rel("V", 2), rel("W", 2))),
+        ]
+        for prepared in views:
+            prepared.refresh()
+        steps = 14
+        for step in range(steps):
+            context = f"seed={seed} step={step}"
+            if step == steps // 2:
+                replacement = script_table(rng)
+                session.register("V", replacement)
+                model = ReverseScanModel(replacement.rows)
+                assert session._entry("V").occurrences is None
+                for prepared in views:
+                    assert_delta_equals_rerun(prepared, context=context)
+                continue
+            live = list(model.rows)
+            operation = rng.choice(("insert", "delete", "update"))
+            if operation != "insert" and not live:
+                operation = "insert"
+            if operation == "insert":
+                deletes = []
+                inserts = [script_row(rng) for _ in range(rng.randint(1, 3))]
+                if live:
+                    inserts.append(copy_of(rng.choice(live)))
+                session.insert("V", inserts)
+            elif operation == "delete":
+                positions = rng.sample(
+                    range(len(live)), min(len(live), rng.randint(1, 3))
+                )
+                deletes = [copy_of(live[position]) for position in positions]
+                twice = duplicated_rows(
+                    [row for index, row in enumerate(live)
+                     if index not in positions]
+                )
+                if twice:
+                    # The same row deleted twice in one call.
+                    row = rng.choice(twice)
+                    deletes += [copy_of(row), copy_of(row)]
+                inserts = []
+                session.delete("V", deletes)
+            else:
+                # Prefer a duplicated old row; the second is a different row.
+                olds = [copy_of(rng.choice(duplicated_rows(live) or live))]
+                others = [row for row in live if row != olds[0]]
+                if others:
+                    olds.append(copy_of(rng.choice(others)))
+                deletes = olds
+                inserts = [script_row(rng) for _ in olds]
+                session.update("V", list(zip(olds, inserts)))
+            delete_ids, insert_ids = model.mutate(deletes, inserts)
+            entry = session._entry("V")
+            table = session.table("V")
+            assert table.rows == tuple(model.rows), context
+            assert all(
+                actual is expected
+                for actual, expected in zip(table.rows, model.rows)
+            ), f"{context}: a different occurrence survived"
+            assert entry.row_ids == model.row_ids, context
+            assert entry.next_row_id == model.next_row_id, context
+            assert_index_matches(session, "V")
+            for prepared in views:
+                batch = standing_view(session, prepared).pending[-1]
+                assert list(batch.delete_ids) == delete_ids, context
+                assert list(batch.insert_ids) == insert_ids, context
+                assert_delta_equals_rerun(prepared, context=context)
+
+    def test_index_is_built_on_first_delete_and_dropped_on_register(self):
+        session = incremental_engine().session(**small_tables())
+        session.insert("V", [((7, 7), TOP)])
+        assert session._entry("V").occurrences is None
+        session.delete("V", [((7, 7), TOP)])
+        assert session._entry("V").occurrences is not None
+        assert_index_matches(session, "V")
+        session.register("V", small_tables()["V"])
+        assert session._entry("V").occurrences is None
+
+
+# ----------------------------------------------------------------------
+# A failing mutation changes nothing
+# ----------------------------------------------------------------------
+
+FINITE = CTable(
+    [((X, 0), eq(X, 1)), ((1, 1), TOP)], arity=2, domains={"x": (0, 1)}
+)
+FLAGGED = BooleanCTable([((1, 2), TOP), ((3, 4), BoolVar("b"))], arity=2)
+TWICE = CTable([((1, 1), TOP), ((2, 2), TOP), ((1, 1), TOP)], arity=2)
+
+#: name -> (relation, table, failing call, retry of its valid part,
+#: check_mod).  Each call is ``(method, argument)``.
+FAILING_MUTATIONS = {
+    "delete_whose_last_row_is_absent": (
+        "V", small_tables()["V"],
+        ("delete", [((0, 1), TOP), ((1, 2), eq(X, 1)), ((9, 9), TOP)]),
+        ("delete", [((0, 1), TOP), ((1, 2), eq(X, 1))]),
+        True,
+    ),
+    "delete_once_more_than_it_occurs": (
+        "V", TWICE,
+        ("delete", [((1, 1), TOP)] * 3),
+        ("delete", [((1, 1), TOP)] * 2),
+        True,
+    ),
+    "update_to_wrong_arity": (
+        "V", small_tables()["V"],
+        ("update", [(((0, 1), TOP), ((0, 1, 2), TOP))]),
+        ("update", [(((0, 1), TOP), ((0, 2), TOP))]),
+        True,
+    ),
+    "insert_uncovered_variable_into_finite_domain_table": (
+        "V", FINITE,
+        ("insert", [((0, 0), TOP), ((Var("z"), 1), TOP)]),
+        ("insert", [((0, 0), TOP)]),
+        False,
+    ),
+    "insert_variable_into_boolean_ctable": (
+        "V", FLAGGED,
+        ("insert", [((5, 6), TOP), ((X, 1), TOP)]),
+        ("insert", [((5, 6), TOP)]),
+        True,
+    ),
+}
+
+
+def mutation_snapshot(session, name):
+    entry = session._entry(name)
+    occurrences = entry.occurrences
+    return {
+        "table": session.table(name),
+        "row_ids": list(entry.row_ids),
+        "next_row_id": entry.next_row_id,
+        "stats": session.stats(name),
+        "occurrences": None if occurrences is None else {
+            row: list(ids) for row, ids in occurrences.items()
+        },
+        "pending": [
+            (view, list(view.pending)) for view in session._views.values()
+        ],
+    }
+
+
+class TestFailedMutationsAreAtomic:
+    @pytest.mark.parametrize("case", sorted(FAILING_MUTATIONS))
+    def test_failure_changes_nothing_and_retry_succeeds(self, case):
+        name, table, failing, retry, check_mod = FAILING_MUTATIONS[case]
+        session = incremental_engine().session(V=table)
+        prepared = session.prepare(sel(rel("V", 2), col_eq_const(1, 0)))
+        prepared.refresh()
+        # Build the occurrence index and leave one batch pending, so
+        # both are observably left alone by the failing call.
+        last = session.table(name).rows[-1]
+        session.update(name, [(last, last)])
+        assert session._entry(name).occurrences is not None
+        before = mutation_snapshot(session, name)
+        assert before["pending"] and before["pending"][0][1]
+        method, argument = failing
+        with pytest.raises(TableError):
+            getattr(session, method)(name, argument)
+        after = mutation_snapshot(session, name)
+        assert after["table"] is before["table"]
+        assert after == before
+        method, argument = retry
+        getattr(session, method)(name, argument)
+        assert_index_matches(session, name)
+        assert_delta_equals_rerun(
+            prepared, check_mod=check_mod, context=f"{case} retry"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,7 @@ from repro.ctalgebra.verify import PlanVerifier
 from repro.engine import Engine
 from repro.engine.config import ExecutionConfig, _env_choice, _env_flag
 from repro.logic.atoms import Const, Var, eq
-from repro.logic.syntax import Not, TOP, conj, is_interned
+from repro.logic.syntax import BOTTOM, Not, TOP, conj, is_interned
 from repro.physical.lower import lower
 from repro.tables.ctable import CRow, CTable
 
@@ -482,6 +482,59 @@ class TestVerifyCTable:
             PlanVerifier().verify_ctable("T", table)
         assert excinfo.value.check == "interning"
         assert "'T'" in str(excinfo.value)
+
+
+# ----------------------------------------------------------------------
+# verify_view: maintained view state
+# ----------------------------------------------------------------------
+
+class TestVerifyView:
+    def built_view(self):
+        tables = {
+            "R": CTable(
+                [((1, 2), TOP), ((3, 2), eq(Var("x"), 1)), ((4, 5), TOP)],
+                arity=2,
+            ),
+            "S": CTable([((2, 7), TOP), ((5, 8), TOP)], arity=2),
+        }
+        session = Engine(maintenance="incremental").session(**tables)
+        prepared = session.prepare(
+            proj(sel(prod(R2, S2), col_eq(1, 2)), [0, 3])
+        )
+        prepared.refresh()
+        config = prepared.config
+        view = session._views[
+            (prepared.query, config.optimize, config.simplify_conditions)
+        ]
+        assert len(view.root.ordered_rows()) >= 2
+        return view
+
+    def test_clean_view_passes(self):
+        view = self.built_view()
+        PlanVerifier().verify_view(view.plan, view)
+
+    def test_planted_bottom_row_rejected(self):
+        view = self.built_view()
+        root = view.root
+        key = root.sorted_keys()[0]
+        planted = CRow(root.rows[key].values, BOTTOM)
+        root.rows[key] = planted
+        root.ordered_rows()[0] = planted
+        with pytest.raises(PlanVerificationError) as excinfo:
+            PlanVerifier().verify_view(view.plan, view)
+        assert excinfo.value.check == "view"
+        assert "false" in str(excinfo.value)
+
+    def test_planted_out_of_order_key_rejected(self):
+        view = self.built_view()
+        root = view.root
+        root._order[0], root._order[1] = root._order[1], root._order[0]
+        rows = root.ordered_rows()
+        rows[0], rows[1] = rows[1], rows[0]
+        with pytest.raises(PlanVerificationError) as excinfo:
+            PlanVerifier().verify_view(view.plan, view)
+        assert excinfo.value.check == "view"
+        assert "not strictly increasing" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
