@@ -1308,12 +1308,13 @@ def run_e38_probability_hot_loop(
 def run_e39_compile_scaling(var_counts, repeats: int) -> dict:
     """E39 — compile-time and count-time curves vs lineage width.
 
-    Ring lineages at each width: compile time is the d-DNNF
-    construction (:func:`repro.prob.wmc.compile_probability` is lazy
-    about counting), count time is one full circuit traversal
+    Ring lineages at each width: compile time is the decision-DNNF
+    search over the interned lineage
+    (:func:`repro.prob.wmc.compile_probability` is lazy about counting),
+    count time is one full circuit traversal
     (:meth:`~repro.logic.compile.DDNNF.model_count`), and the recorded
-    circuit sizes show the representation growing linearly while the
-    world count grows as ``2^width``.
+    circuit sizes show the representation growing linearly (4 nodes per
+    ring variable, minus 7) while the world count grows as ``2^width``.
     """
     compile_curve = {}
     count_curve = {}

@@ -361,23 +361,11 @@ class Engine:
         ``Session.register`` evict exactly the lineages whose inputs
         changed.
         """
-        from repro.logic.counting import (
-            PROB_STRATEGIES,
-            PROB_VARIABLE_BUDGET,
-            probability,
-        )
+        from repro.logic.counting import probability, resolve_strategy
 
-        resolved = (strategy or self._config.prob_strategy).lower()
-        if resolved not in PROB_STRATEGIES:
-            raise ProbabilityError(
-                f"unknown probability strategy {resolved!r}; "
-                f"expected one of {PROB_STRATEGIES}"
-            )
-        if resolved == "auto":
-            if len(condition.variables()) <= PROB_VARIABLE_BUDGET:
-                resolved = "shannon"
-            else:
-                resolved = "wmc"
+        resolved = resolve_strategy(
+            strategy or self._config.prob_strategy, condition
+        )
         if resolved != "wmc" or self._config.circuit_cache_size == 0:
             return probability(condition, distributions, strategy=resolved)
         from repro.prob.wmc import compile_probability
@@ -1599,13 +1587,23 @@ class Dataset:
         The merge (and its conflict check) runs only when a
         probabilistic reading is actually requested, so sessions whose
         pc-tables have clashing variable names can still serve every
-        non-probabilistic query.
+        non-probabilistic query.  While the session still holds exactly
+        the snapshotted maps (element by element, the same objects), its
+        cached merge *is* this merge and is reused; mutations never
+        replace an entry's distributions, and ``register`` resets that
+        cache.
         """
         if self._distributions is None:
             self.collect()  # ensure the sources snapshot exists
-            self._distributions = _merge_distribution_sources(
-                self._distribution_sources
-            )
+            snapshot = self._distribution_sources or ()
+            session = self._prepared.session
+            current = session._distribution_sources()
+            if len(current) == len(snapshot) and all(
+                mine is theirs for mine, theirs in zip(snapshot, current)
+            ):
+                self._distributions = session.distributions()
+            else:
+                self._distributions = _merge_distribution_sources(snapshot)
         return self._distributions
 
     def _max_candidates(self, override: Optional[int]) -> int:

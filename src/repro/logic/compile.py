@@ -1,4 +1,4 @@
-"""Knowledge compilation: conditions → d-DNNF circuits via trace-recorded DPLL.
+"""Knowledge compilation: conditions → decision-DNNF circuits.
 
 The probability terminals of the pc-table stack (Definition 13, Theorem 9:
 "compute q̄(T), then read probabilities off conditions") reduce to weighted
@@ -12,58 +12,62 @@ weighted model counting is a single linear-time pass
 Pipeline
 --------
 
-1. **Booleanize** (:func:`booleanize`): a condition over multi-valued
-   pc-table variables is translated into propositional logic over
-   :class:`_Indicator` atoms — the one-hot encoding pc-tables already
-   imply.  A variable with a two-value support uses a single proposition
-   (``x = v₀`` / its negation); larger supports get one indicator per
-   outcome plus exactly-one clauses.  Fixed (singleton-support) variables
-   fold away entirely.
-2. **Clausify**: the boolean formula goes through the existing Tseitin
-   transformation (:func:`repro.logic.cnf.tseitin_clauses`).  The full
-   biconditional encoding matters here: definition variables are
-   *functionally determined* by the atom variables, so the CNF has
-   exactly one model per model of the boolean formula and counting the
-   CNF counts the formula.
-3. **Compile** (:func:`compile_cnf`): an exhaustive DPLL whose trace is
-   recorded as a circuit.  Unit propagation contributes AND-conjoined
-   literal nodes (their variables provably vanish from the residual, so
-   the AND is decomposable); connected components of the residual clause
-   set compile independently (decomposable AND); branching on a variable
-   contributes a two-child OR whose children disagree on that variable
-   (deterministic OR).  Residual components are cached by their clause
-   set, so isomorphic subproblems — ubiquitous in the chain/ring lineage
-   shapes relational plans produce — compile once.  Pure-literal
-   elimination, which :mod:`repro.logic.sat` uses, is deliberately
-   **absent**: it preserves satisfiability but not model counts.
+One top-down search over the interned condition, whose trace is the
+circuit.  Every residual is compiled once (the search caches on the
+interned residual), by the first rule that applies:
 
-The resulting trace is *not smooth* (an OR child may mention fewer
-variables than its sibling); :meth:`DDNNF.weighted_count` repairs this on
-the fly with gap factors ``w(v) + w(¬v)`` per missing variable, which is
-exact for arbitrary weights.
+1. ``TOP``/``BOTTOM`` become the constant circuits; a residual without
+   variables folds with ``partial_evaluate(·, {})`` first, as
+   :func:`~repro.logic.counting.probability_shannon` does.
+2. An ``And`` whose children split into variable-disjoint groups compiles
+   each group on its own and emits a **decomposable AND** (:class:`DAnd`).
+3. Anything else emits a **decision node** (:class:`DDecision`) on one
+   variable ``x``: one child per positive-support outcome ``v``, compiled
+   from ``partial_evaluate(residual, {x: v})``.  The children assign
+   distinct values to ``x``, so the node is deterministic; ``x`` is gone
+   from every child, so it is decomposable.  Because the branch residual
+   comes from the same evaluation kernel the Shannon route uses,
+   ``Var = Var`` equalities, :class:`~repro.logic.atoms.BoolVar`
+   truthiness and singleton supports mean exactly what they mean there —
+   no booleanization, no Tseitin definitions, no exactly-one clauses.
+
+The branch variable is the residual's variable that comes first in the
+*original* condition's first-occurrence order (:func:`_first_occurrence`).
+That static order matters more than any dynamic score: it sweeps the
+condition structurally, and residuals left behind by different branches of
+the sweep *coincide* whenever the condition has bounded interaction width
+(chains, rings, lineages of localized queries).  The residual cache then
+turns the trace into a transfer-matrix pass: linear in the sweep, not
+``2^variables``.  Sorted-name order (Shannon's) is the same thing only
+when names happen to follow the structure; on a 40-variable ring with
+shuffled names it took 8.5 s against 0.031 s for first-occurrence order.
+A dynamic most-frequent-variable score was worse still on exactly these
+shapes: every jump fragments the ring into differently keyed arc
+residuals and the cache never hits.
+
+The trace is *not smooth* (a child may mention fewer variables than its
+parent); :meth:`DDNNF.weighted_count` repairs this on the fly with the gap
+factor ``Σ_v w(x=v)`` per missing variable, which is exact for arbitrary
+weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import (
     Dict,
     FrozenSet,
     Hashable,
-    Iterable,
+    Iterator,
     List,
     Mapping,
-    Optional,
-    Sequence,
     Set,
     Tuple,
-    cast,
 )
 
 from repro.errors import ConditionError
-from repro.logic.atoms import BoolVar, Const, Eq, Var
-from repro.logic.cnf import Clause, tseitin_clauses
+from repro.logic.atoms import BoolVar, Eq, Var, boolvar
+from repro.logic.evaluation import partial_evaluate
 from repro.obs.metrics import counter
 from repro.obs.names import DDNNF_COMPILE_TOTAL, WMC_COUNT_TOTAL
 from repro.logic.syntax import (
@@ -77,145 +81,16 @@ from repro.logic.syntax import (
     Top,
     conj,
     disj,
-    hashcons,
     neg,
+    walk,
 )
 
 #: ``supports[x]`` is the tuple of outcomes variable ``x`` can take with
 #: positive probability, in a deterministic (repr-sorted) order.
 Supports = Mapping[str, Tuple[Hashable, ...]]
 
-
-@dataclass(frozen=True, eq=False)
-class _Indicator(Formula):
-    """Propositional atom asserting that pc-table variable *name* = *value*.
-
-    Interned like every other atom (:func:`indicator`), so booleanized
-    conditions share structure with each other and with the cache keys of
-    the engine's circuit cache.
-    """
-
-    name: str
-    value: Hashable
-
-    __slots__ = ("name", "value")
-
-    def _fields(self) -> tuple:
-        return (self.name, self.value)
-
-    def _variables(self) -> FrozenSet[str]:
-        return frozenset({self.name})
-
-    def __repr__(self) -> str:
-        return f"[{self.name}={self.value!r}]"
-
-
-def indicator(name: str, value: Hashable) -> Formula:
-    """Return the canonical indicator atom for ``name = value``."""
-    return hashcons(_Indicator, name, value)
-
-
-def indicator_fields(atom: Formula) -> Optional[Tuple[str, Hashable]]:
-    """Return ``(variable, value)`` for an indicator atom, else ``None``.
-
-    The weighted-model-counting layer uses this to recognize which CNF
-    variables encode pc-table outcomes (and must be weighted from the
-    distributions) versus Tseitin definitions (weighted ``(1, 1)``).
-    """
-    if isinstance(atom, _Indicator):
-        return (atom.name, atom.value)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Booleanization: multi-valued conditions → propositional formulas
-# ---------------------------------------------------------------------------
-
-
-def _takes(name: str, value: Hashable, supports: Supports) -> Formula:
-    """Translate the assertion ``name = value`` under *supports*.
-
-    Singleton supports fold to a constant; two-value supports use one
-    proposition and its negation (no exactly-one clauses needed, and the
-    weight pair ``(p(v₀), p(v₁))`` sums to 1 so smoothing gaps are free);
-    larger supports use the one-hot indicator for *value*.
-    """
-    try:
-        support = supports[name]
-    except KeyError:
-        raise ConditionError(
-            f"no distribution covers condition variable {name!r}"
-        ) from None
-    if value not in support:
-        return BOTTOM
-    if len(support) == 1:
-        return TOP
-    if len(support) == 2:
-        base = indicator(name, support[0])
-        return base if value == support[0] else neg(base)
-    return indicator(name, value)
-
-
-def _support_of(name: str, supports: Supports) -> Tuple[Hashable, ...]:
-    try:
-        return supports[name]
-    except KeyError:
-        raise ConditionError(
-            f"no distribution covers condition variable {name!r}"
-        ) from None
-
-
-def booleanize(formula: Formula, supports: Supports) -> Formula:
-    """Translate *formula* into propositional logic over indicator atoms.
-
-    Equalities between a variable and a constant become ``_takes``;
-    equalities between two variables expand over the intersection of
-    their supports; a :class:`BoolVar` is the disjunction of its truthy
-    outcomes (matching the truthiness semantics of
-    :func:`repro.logic.evaluation.evaluate`).  The translation is exact:
-    a valuation drawn from the supports satisfies *formula* iff its
-    indicator image satisfies the result.
-    """
-    if isinstance(formula, (Top, Bottom)):
-        return formula
-    if isinstance(formula, Not):
-        return neg(booleanize(formula.child, supports))
-    if isinstance(formula, And):
-        return conj(*(booleanize(child, supports) for child in formula.children))
-    if isinstance(formula, Or):
-        return disj(*(booleanize(child, supports) for child in formula.children))
-    if isinstance(formula, BoolVar):
-        return disj(
-            *(
-                _takes(formula.name, value, supports)
-                for value in _support_of(formula.name, supports)
-                if bool(value)
-            )
-        )
-    if isinstance(formula, Eq):
-        left, right = formula.left, formula.right
-        if isinstance(left, Const) and isinstance(right, Var):
-            left, right = right, left
-        if isinstance(left, Var) and isinstance(right, Const):
-            return _takes(left.name, right.value, supports)
-        if isinstance(left, Var) and isinstance(right, Var):
-            right_support = set(_support_of(right.name, supports))
-            return disj(
-                *(
-                    conj(
-                        _takes(left.name, value, supports),
-                        _takes(right.name, value, supports),
-                    )
-                    for value in _support_of(left.name, supports)
-                    if value in right_support
-                )
-            )
-        # Const = Const only reaches here through raw construction; the
-        # smart constructor folds it.
-        left_const = cast(Const, left)
-        right_const = cast(Const, right)
-        return TOP if left_const.value == right_const.value else BOTTOM
-    raise ConditionError(f"cannot booleanize atom {formula!r}")
+#: ``weights[x][v]`` is the weight of outcome ``v`` of variable ``x``.
+Weights = Mapping[str, Mapping[Hashable, Fraction]]
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +101,16 @@ def booleanize(formula: Formula, supports: Supports) -> Formula:
 class DNode:
     """Base class of d-DNNF circuit nodes.
 
-    ``scope`` is the set of CNF variables the subcircuit depends on —
-    the smoothing pass in :meth:`DDNNF.weighted_count` compares child
-    scopes against their parents to find the variables it must repair.
+    ``scope`` is the set of variables the subcircuit counts over — for an
+    inner node, the ``variables()`` of the residual it was compiled from
+    (cached on the interned formula, so nodes share it).  The smoothing
+    in :meth:`DDNNF.weighted_count` compares child scopes against their
+    parents to find the variables it must repair.
     """
 
     __slots__ = ("scope",)
 
-    scope: FrozenSet[int]
+    scope: FrozenSet[str]
 
 
 class DTrue(DNode):
@@ -264,196 +141,50 @@ D_TRUE = DTrue()
 D_FALSE = DFalse()
 
 
-class DLit(DNode):
-    """A literal node: CNF variable ``abs(literal)`` with its sign."""
-
-    __slots__ = ("literal",)
-
-    def __init__(self, literal: int) -> None:
-        self.literal = literal
-        self.scope = frozenset({abs(literal)})
-
-    def __repr__(self) -> str:
-        return f"lit({self.literal})"
-
-
 class DAnd(DNode):
     """Decomposable conjunction: children have pairwise disjoint scopes."""
 
     __slots__ = ("children",)
 
-    def __init__(self, children: Tuple[DNode, ...]) -> None:
+    def __init__(self, children: Tuple[DNode, ...], scope: FrozenSet[str]) -> None:
         self.children = children
-        self.scope = frozenset().union(*(child.scope for child in children))
+        self.scope = scope
 
     def __repr__(self) -> str:
         return f"and({len(self.children)})"
 
 
-class DOr(DNode):
-    """Deterministic disjunction: children are mutually exclusive.
+class DDecision(DNode):
+    """Deterministic decision on ``variable``: one child per outcome.
 
-    Built only from the two branches of a DPLL decision, which disagree
-    on the decision variable, so determinism holds by construction.
+    ``branches`` pairs distinct positive-support outcomes of the variable
+    with the circuit of the residual under that outcome; outcomes whose
+    residual is false are left out.  No child mentions ``variable``.
     """
 
-    __slots__ = ("children",)
+    __slots__ = ("variable", "branches")
 
-    def __init__(self, children: Tuple[DNode, ...]) -> None:
-        self.children = children
-        self.scope = frozenset().union(*(child.scope for child in children))
+    def __init__(
+        self,
+        variable: str,
+        branches: Tuple[Tuple[Hashable, DNode], ...],
+        scope: FrozenSet[str],
+    ) -> None:
+        self.variable = variable
+        self.branches = branches
+        self.scope = scope
 
     def __repr__(self) -> str:
-        return f"or({len(self.children)})"
+        return f"decide({self.variable}, {len(self.branches)})"
 
 
-def _dand(children: Sequence[DNode]) -> DNode:
-    """AND-combine *children*, flattening and folding constants."""
-    flat: List[DNode] = []
-    for child in children:
-        if isinstance(child, DFalse):
-            return D_FALSE
-        if isinstance(child, DTrue):
-            continue
-        if isinstance(child, DAnd):
-            flat.extend(child.children)
-        else:
-            flat.append(child)
-    if not flat:
-        return D_TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return DAnd(tuple(flat))
-
-
-# ---------------------------------------------------------------------------
-# The compiler: exhaustive DPLL with a recorded trace
-# ---------------------------------------------------------------------------
-
-
-def _propagate(
-    clauses: FrozenSet[Clause],
-) -> Tuple[Optional[FrozenSet[Clause]], List[int]]:
-    """Run unit propagation to fixpoint.
-
-    Returns ``(residual, implied_literals)``; residual is ``None`` on
-    conflict.  Every implied variable is eliminated from the residual,
-    which is what makes the caller's AND of literal nodes decomposable.
-    """
-    current: Set[Clause] = set(clauses)
-    implied: List[int] = []
-    if frozenset() in current:
-        return None, implied
-    while True:
-        unit = next((clause for clause in current if len(clause) == 1), None)
-        if unit is None:
-            return frozenset(current), implied
-        literal = next(iter(unit))
-        implied.append(literal)
-        reduced: Set[Clause] = set()
-        for clause in current:
-            if literal in clause:
-                continue
-            if -literal in clause:
-                clause = clause - {-literal}
-                if not clause:
-                    return None, implied
-            reduced.add(clause)
-        current = reduced
-
-
-def _components(clauses: FrozenSet[Clause]) -> List[FrozenSet[Clause]]:
-    """Partition *clauses* into connected components (shared variables)."""
-    remaining = list(clauses)
-    by_variable: Dict[int, List[int]] = {}
-    for position, clause in enumerate(remaining):
-        for literal in clause:
-            by_variable.setdefault(abs(literal), []).append(position)
-    seen: Set[int] = set()
-    components: List[FrozenSet[Clause]] = []
-    for start in range(len(remaining)):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        member_positions: List[int] = []
-        while stack:
-            position = stack.pop()
-            member_positions.append(position)
-            for literal in remaining[position]:
-                for neighbor in by_variable[abs(literal)]:
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        stack.append(neighbor)
-        components.append(frozenset(remaining[p] for p in member_positions))
-    return components
-
-
-def _branch_variable(clauses: FrozenSet[Clause]) -> int:
-    """Pick the lowest-index variable occurring in the residual.
-
-    The static order matters more than any dynamic score here: CNF
-    variables are numbered in formula order by Tseitin clausification,
-    so min-index branching sweeps the condition structurally — and
-    residuals left behind by different branches of the sweep *coincide*
-    whenever the formula has bounded interaction width (chains, rings,
-    lineages of localized queries).  The residual-keyed cache then turns
-    the trace into a transfer-matrix pass: linear in the sweep, not
-    ``2^variables``.  A dynamic most-frequent-variable score was
-    measurably catastrophic on exactly the shapes this compiler exists
-    for — it jumps around the formula, every jump fragments the ring
-    into differently-keyed arc residuals, and the cache never hits
-    (>100s for the 60-variable ring of benchmark E37 vs ~0.1s with the
-    static order).
-    """
-    return min(abs(literal) for clause in clauses for literal in clause)
-
-
-def _compile(
-    clauses: FrozenSet[Clause], cache: Dict[FrozenSet[Clause], DNode]
-) -> DNode:
-    residual, implied = _propagate(clauses)
-    if residual is None:
-        return D_FALSE
-    prefix: List[DNode] = [DLit(literal) for literal in implied]
-    if not residual:
-        return _dand(prefix)
-    node = cache.get(residual)
-    if node is None:
-        components = _components(residual)
-        if len(components) > 1:
-            node = _dand([_compile(component, cache) for component in components])
-        else:
-            variable = _branch_variable(residual)
-            positive = _compile(
-                residual | {frozenset({variable})}, cache
-            )
-            negative = _compile(
-                residual | {frozenset({-variable})}, cache
-            )
-            branches = tuple(
-                branch
-                for branch in (positive, negative)
-                if not isinstance(branch, DFalse)
-            )
-            if not branches:
-                node = D_FALSE
-            elif len(branches) == 1:
-                node = branches[0]
-            else:
-                node = DOr(branches)
-        cache[residual] = node
-    if isinstance(node, DFalse):
-        return D_FALSE
-    return _dand(prefix + [node])
-
-
-def compile_cnf(clauses: Iterable[Clause], num_vars: int) -> "DDNNF":
-    """Compile a CNF into a d-DNNF circuit counting over *num_vars* variables."""
-    counter(DDNNF_COMPILE_TOTAL)
-    cache: Dict[FrozenSet[Clause], DNode] = {}
-    root = _compile(frozenset(clauses), cache)
-    return DDNNF(root, num_vars)
+def children_of(node: DNode) -> Tuple[DNode, ...]:
+    """Return the child circuits of *node* (empty for constants)."""
+    if isinstance(node, DAnd):
+        return node.children
+    if isinstance(node, DDecision):
+        return tuple(child for _value, child in node.branches)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +195,21 @@ def compile_cnf(clauses: Iterable[Clause], num_vars: int) -> "DDNNF":
 class DDNNF:
     """A compiled circuit plus the variable universe it counts over.
 
-    Model counts and weighted counts are taken over **all** ``num_vars``
-    CNF variables: a variable outside the circuit's scope is free, and
-    smoothing multiplies in its gap factor ``w(v) + w(¬v)`` (which is
-    ``2`` for unweighted counting).  This matches
+    Counts are taken over **all** variables of ``supports``: a variable
+    outside the circuit's scope is free and contributes its gap factor
+    (``|support|`` for unweighted counting).  This matches
     :meth:`repro.logic.bdd.Bdd.count_models`, which also counts over its
     full variable order.
     """
 
-    __slots__ = ("root", "num_vars")
+    __slots__ = ("root", "supports")
 
-    def __init__(self, root: DNode, num_vars: int) -> None:
+    def __init__(self, root: DNode, supports: Dict[str, Tuple[Hashable, ...]]) -> None:
         self.root = root
-        self.num_vars = num_vars
+        self.supports = supports
 
-    def size(self) -> int:
-        """Return the number of distinct nodes in the circuit DAG."""
+    def nodes(self) -> Iterator[DNode]:
+        """Yield every distinct node of the circuit DAG once."""
         seen: Set[int] = set()
         stack: List[DNode] = [self.root]
         while stack:
@@ -487,36 +217,44 @@ class DDNNF:
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            if isinstance(node, (DAnd, DOr)):
-                stack.extend(node.children)
-        return len(seen)
+            yield node
+            stack.extend(children_of(node))
+
+    def size(self) -> int:
+        """Return the number of distinct nodes in the circuit DAG."""
+        return sum(1 for _node in self.nodes())
 
     def model_count(self) -> int:
-        """Count satisfying assignments over all ``num_vars`` variables."""
+        """Count satisfying valuations drawn from the supports."""
         one = Fraction(1)
-        weights = {v: one for v in range(1, self.num_vars + 1)}
-        count = self.weighted_count(weights, weights)
-        return int(count)
+        weights = {
+            name: {value: one for value in support}
+            for name, support in self.supports.items()
+        }
+        return int(self.weighted_count(weights))
 
-    def weighted_count(
-        self,
-        pos: Mapping[int, Fraction],
-        neg: Mapping[int, Fraction],
-    ) -> Fraction:
+    def weighted_count(self, weights: Weights) -> Fraction:
         """Exact weighted model count with on-the-fly smoothing.
 
-        *pos*/*neg* map every CNF variable to the weight of its positive
-        and negative literal.  The count is over complete assignments to
-        all ``num_vars`` variables; a variable missing from a branch's
-        scope (the trace is not smooth) contributes its gap factor
-        ``pos[v] + neg[v]`` exactly once per assignment family, which is
-        correct for arbitrary weights — not only probability pairs that
-        sum to 1.
+        *weights* gives every outcome in the supports its weight; a
+        valuation weighs the product of its outcomes' weights.  A
+        variable missing from a child's scope (the trace is not smooth)
+        contributes its gap factor ``Σ_v w(x=v)``, which is correct for
+        arbitrary weights.  Probability weights have gap factor 1, so
+        smoothing is skipped outright for them.
         """
         counter(WMC_COUNT_TOTAL)
-        total: Dict[int, Fraction] = {
-            v: pos[v] + neg[v] for v in range(1, self.num_vars + 1)
+        gap = {
+            name: sum((weights[name][value] for value in support), Fraction(0))
+            for name, support in self.supports.items()
         }
+        smooth = any(factor != 1 for factor in gap.values())
+
+        def repair(term: Fraction, missing: FrozenSet[str]) -> Fraction:
+            for name in missing:
+                term *= gap[name]
+            return term
+
         memo: Dict[int, Fraction] = {}
 
         def value(node: DNode) -> Fraction:
@@ -524,107 +262,188 @@ class DDNNF:
             if cached is not None:
                 return cached
             result: Fraction
-            if isinstance(node, DTrue):
-                result = Fraction(1)
-            elif isinstance(node, DFalse):
+            if isinstance(node, DDecision):
+                outcome = weights[node.variable]
                 result = Fraction(0)
-            elif isinstance(node, DLit):
-                variable = abs(node.literal)
-                result = pos[variable] if node.literal > 0 else neg[variable]
+                for choice, child in node.branches:
+                    term = outcome[choice] * value(child)
+                    if smooth:
+                        term = repair(
+                            term, node.scope - child.scope - {node.variable}
+                        )
+                    result += term
             elif isinstance(node, DAnd):
                 result = Fraction(1)
                 for child in node.children:
                     result *= value(child)
-            elif isinstance(node, DOr):
-                result = Fraction(0)
-                for child in node.children:
-                    term = value(child)
-                    for variable in node.scope - child.scope:
-                        term *= total[variable]
-                    result += term
-            else:  # pragma: no cover - closed node hierarchy
-                raise ConditionError(f"unknown circuit node {node!r}")
+                if smooth:
+                    covered = frozenset().union(
+                        *(child.scope for child in node.children)
+                    )
+                    result = repair(result, node.scope - covered)
+            else:
+                result = Fraction(1 if isinstance(node, DTrue) else 0)
             memo[id(node)] = result
             return result
 
         count = value(self.root)
-        for variable in range(1, self.num_vars + 1):
-            if variable not in self.root.scope:
-                count *= total[variable]
+        if smooth:
+            count = repair(count, frozenset(self.supports) - self.root.scope)
         return count
 
 
 class CompiledCircuit:
-    """A condition compiled end to end: circuit + encoding metadata.
+    """A condition compiled end to end: the circuit and its supports.
 
-    ``var_atom`` maps each CNF variable that encodes a genuine atom
-    (indicator or boolean proposition) back to that atom; Tseitin
-    definition variables are absent from it.  :mod:`repro.prob.wmc`
-    uses the map to assign literal weights from the distributions.
+    ``supports`` is the universe the circuit counts over — the
+    condition's variables with their positive-support outcomes.
     """
 
-    __slots__ = ("circuit", "var_atom", "supports")
+    __slots__ = ("circuit", "supports")
 
-    def __init__(
-        self,
-        circuit: DDNNF,
-        var_atom: Dict[int, Formula],
-        supports: Dict[str, Tuple[Hashable, ...]],
-    ) -> None:
+    def __init__(self, circuit: DDNNF) -> None:
         self.circuit = circuit
-        self.var_atom = var_atom
-        self.supports = supports
+        self.supports = circuit.supports
+
+
+# ---------------------------------------------------------------------------
+# The compiler: top-down search over interned residuals
+# ---------------------------------------------------------------------------
+
+
+def _first_occurrence(formula: Formula) -> Dict[str, int]:
+    """Rank each variable by its first occurrence in a pre-order walk.
+
+    Children are visited left to right and an equality's terms in stored
+    order, so the rank follows the condition as written.
+    """
+    rank: Dict[str, int] = {}
+    for node in walk(formula):
+        if isinstance(node, Eq):
+            for term in (node.left, node.right):
+                if isinstance(term, Var):
+                    rank.setdefault(term.name, len(rank))
+        elif isinstance(node, BoolVar):
+            rank.setdefault(node.name, len(rank))
+    return rank
+
+
+def _disjoint_groups(formula: And) -> List[Formula]:
+    """Split a conjunction into variable-disjoint sub-conjunctions.
+
+    Each group keeps its children in their original order, so groups are
+    the same interned nodes whichever branch of the search reaches them.
+    """
+    groups: List[Tuple[Set[str], List[int]]] = []
+    for index, child in enumerate(formula.children):
+        names = set(child.variables())
+        members = [index]
+        unmerged: List[Tuple[Set[str], List[int]]] = []
+        for group_names, group_members in groups:
+            if names.isdisjoint(group_names):
+                unmerged.append((group_names, group_members))
+            else:
+                names |= group_names
+                members += group_members
+        unmerged.append((names, members))
+        groups = unmerged
+    children = formula.children
+    return [
+        conj(*(children[index] for index in sorted(members)))
+        for _names, members in groups
+    ]
+
+
+def _search(formula: Formula, supports: Dict[str, Tuple[Hashable, ...]]) -> DDNNF:
+    """Compile *formula* over *supports* by the rules of the module docstring."""
+    counter(DDNNF_COMPILE_TOTAL)
+    rank = _first_occurrence(formula)
+    cache: Dict[Formula, DNode] = {}
+
+    def compile_residual(residual: Formula) -> DNode:
+        if residual is TOP:
+            return D_TRUE
+        if residual is BOTTOM:
+            return D_FALSE
+        node = cache.get(residual)
+        if node is not None:
+            return node
+        scope = residual.variables()
+        groups = (
+            _disjoint_groups(residual) if isinstance(residual, And) else []
+        )
+        if not scope:
+            folded = partial_evaluate(residual, {})
+            if isinstance(folded, Top):
+                node = D_TRUE
+            elif isinstance(folded, Bottom):
+                node = D_FALSE
+            else:
+                raise ConditionError(f"cannot fold ground condition {residual!r}")
+        elif len(groups) > 1:
+            parts = [compile_residual(group) for group in groups]
+            if any(part is D_FALSE for part in parts):
+                node = D_FALSE
+            else:
+                node = DAnd(tuple(p for p in parts if p is not D_TRUE), scope)
+        else:
+            pivot = min(scope, key=rank.__getitem__)
+            branches: List[Tuple[Hashable, DNode]] = []
+            for value in supports[pivot]:
+                child = compile_residual(partial_evaluate(residual, {pivot: value}))
+                if child is not D_FALSE:
+                    branches.append((value, child))
+            node = DDecision(pivot, tuple(branches), scope) if branches else D_FALSE
+        cache[residual] = node
+        return node
+
+    return DDNNF(compile_residual(formula), supports)
+
+
+def _propositional(formula: Formula, fresh: Mapping[Formula, Formula]) -> Formula:
+    """Rebuild *formula* with every atom replaced by ``fresh[atom]``."""
+    if isinstance(formula, Not):
+        return neg(_propositional(formula.child, fresh))
+    if isinstance(formula, And):
+        return conj(*(_propositional(child, fresh) for child in formula.children))
+    if isinstance(formula, Or):
+        return disj(*(_propositional(child, fresh) for child in formula.children))
+    return fresh.get(formula, formula)
 
 
 def compile_formula(formula: Formula) -> CompiledCircuit:
-    """Compile a pure-boolean condition, one CNF variable per atom.
+    """Compile a condition read propositionally, one boolean per atom.
 
     Every atom is treated as an independent two-valued proposition —
     the reading under which d-DNNF model counts must agree with
     :meth:`repro.logic.bdd.Bdd.count_models` over the same variables.
-    The counting universe is anchored to *every* atom of the formula:
-    Tseitin clausification may simplify an atom away entirely (e.g. in
-    ``~(e & ~(c | e))``, which is valid), and an eliminated atom must
-    still count as a free variable — smoothing multiplies its gap
-    factor in, which is ``2`` for model counts and ``1`` for
-    probability weights.
+    Each atom is renamed to a fresh boolean variable, and the counting
+    universe is anchored to *every* atom of the formula, so an atom the
+    smart constructors simplify away still counts as free.
     """
-    clauses, atom_map, _root = tseitin_clauses(formula)
-    for atom in sorted(formula.atoms(), key=repr):
-        atom_map.index_of(atom)  # allocate atoms simplification removed
-    var_atom = {
-        atom_map.index_of(atom): atom for atom in atom_map.atoms()
+    names = [f"p{index}" for index in range(len(formula.atoms()))]
+    fresh = {
+        atom: boolvar(name)
+        for atom, name in zip(sorted(formula.atoms(), key=repr), names)
     }
-    circuit = compile_cnf(clauses, len(atom_map))
-    return CompiledCircuit(circuit, var_atom, {})
+    boolean = _propositional(formula, fresh)
+    supports: Dict[str, Tuple[Hashable, ...]] = {
+        name: (False, True) for name in names
+    }
+    return CompiledCircuit(_search(boolean, supports))
 
 
 def compile_condition(formula: Formula, supports: Supports) -> CompiledCircuit:
     """Compile a (possibly multi-valued) condition under *supports*.
 
-    The condition is booleanized, Tseitin-clausified, extended with
-    exactly-one clauses for every referenced one-hot group, and compiled
-    to d-DNNF.  The returned metadata carries enough structure for
-    :mod:`repro.prob.wmc` to weight literals from the distributions.
+    The circuit counts over the condition's own variables; a variable
+    *supports* does not cover raises :class:`ConditionError`.
     """
-    boolean = booleanize(formula, supports)
-    clauses, atom_map, _root = tseitin_clauses(boolean)
-    used_supports: Dict[str, Tuple[Hashable, ...]] = {}
-    for atom in sorted(boolean.atoms(), key=repr):
-        if isinstance(atom, _Indicator):
-            used_supports[atom.name] = tuple(supports[atom.name])
-    for name, support in used_supports.items():
-        if len(support) <= 2:
-            continue
-        group = [
-            atom_map.index_of(indicator(name, value)) for value in support
-        ]
-        clauses.append(frozenset(group))
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                clauses.append(frozenset({-group[i], -group[j]}))
-    var_atom = {
-        atom_map.index_of(atom): atom for atom in atom_map.atoms()
-    }
-    circuit = compile_cnf(clauses, len(atom_map))
-    return CompiledCircuit(circuit, var_atom, used_supports)
+    used: Dict[str, Tuple[Hashable, ...]] = {}
+    for name in sorted(formula.variables()):
+        if name not in supports:
+            raise ConditionError(
+                f"no distribution covers condition variable {name!r}"
+            )
+        used[name] = tuple(supports[name])
+    return CompiledCircuit(_search(formula, used))

@@ -3,7 +3,7 @@
 pc-tables (Definition 13 of the paper) attach to every variable ``x`` a
 finite probability space ``dom(x)``; variables are independent.  The
 probability that a condition holds is then a weighted count over the
-product space.  Three evaluation strategies are provided, benchmarked
+product space.  Four evaluation strategies are provided, benchmarked
 against each other in E18:
 
 - :func:`probability_enumerate` — fold over *all* valuations (exact,
@@ -14,8 +14,10 @@ against each other in E18:
   residuals coincide (this generalizes BDD evaluation to multi-valued
   variables — in knowledge-compilation terms it builds a free decision
   diagram on the fly),
-- ``strategy="wmc"`` — compile the condition to d-DNNF once
-  (:mod:`repro.logic.compile`) and weighted-model-count the circuit
+- ``strategy="wmc"`` — compile the condition once into a decision-DNNF
+  circuit (:mod:`repro.logic.compile`: the same residual-keyed
+  expansion, plus decomposable ANDs over variable-disjoint conjuncts
+  and a first-occurrence branch order) and weighted-model-count it
   (:mod:`repro.prob.wmc`); cost scales with condition and circuit size,
   never ``2^variables``,
 - :meth:`repro.logic.bdd.Bdd.probability` — for purely boolean
@@ -23,8 +25,9 @@ against each other in E18:
 
 :func:`probability` dispatches between them, compiled-first past the
 variable budget (mirroring how ``ctables_equivalent`` in
-:mod:`repro.worlds.compare` dispatches symbolic-first).  All strategies
-return identical exact :class:`fractions.Fraction` values.
+:mod:`repro.worlds.compare` dispatches symbolic-first); the rule lives
+in :func:`resolve_strategy` alone.  All strategies return identical
+exact :class:`fractions.Fraction` values.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def probability(
     beyond it.  Every strategy returns the same exact
     :class:`fractions.Fraction`.
     """
-    resolved = _resolve_strategy(strategy, formula)
+    resolved = resolve_strategy(strategy, formula)
     if resolved == "enumerate":
         return probability_enumerate(formula, distributions)
     if resolved == "wmc":
@@ -142,7 +145,16 @@ def probability(
     return probability_shannon(formula, distributions)
 
 
-def _resolve_strategy(strategy: Optional[str], formula: Formula) -> str:
+def resolve_strategy(strategy: Optional[str], formula: Formula) -> str:
+    """Return the concrete route (``"enumerate"``, ``"shannon"`` or
+    ``"wmc"``) that *strategy* selects for *formula*.
+
+    ``None`` defers to ``REPRO_PROB_STRATEGY``; ``"auto"`` applies the
+    :data:`PROB_VARIABLE_BUDGET` rule; an unknown name raises
+    :class:`ProbabilityError`.  This is the one place the budget rule
+    lives: :meth:`repro.engine.Engine.condition_probability` resolves
+    through it too.
+    """
     if strategy is None:
         strategy = default_prob_strategy()
     strategy = strategy.lower()

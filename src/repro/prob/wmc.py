@@ -4,26 +4,22 @@ This is the scalable half of the paper's probability story: Theorem 9
 reads the probability of an answer tuple off its (membership) condition,
 and that read is a weighted model count over the independent variable
 distributions of Definition 13.  :mod:`repro.logic.compile` turns the
-condition into a d-DNNF circuit once; this module assigns every CNF
-literal a weight drawn from ``dom(x)`` and evaluates the circuit in a
+condition into a decision-DNNF circuit once; this module weighs every
+outcome of every variable from ``dom(x)`` and evaluates the circuit in a
 single pass of exact :class:`fractions.Fraction` arithmetic.
 
 Weights
 -------
 
-- A **one-hot indicator** ``[x=v]`` weighs ``p(v)`` positively and ``1``
-  negatively; the exactly-one clauses emitted by the compiler make the
-  product over a group pick out exactly one outcome's probability.
-- A **two-value variable** is encoded as the single proposition
-  ``x = v₀``, weighted ``(p(v₀), p(v₁))`` — no exactly-one clauses, and
-  the weights sum to 1 so smoothing gaps cost nothing.
-- **Tseitin definitions** weigh ``(1, 1)``: the full biconditional
-  encoding makes them functionally determined, so they never multiply
-  the count.
+A decision on variable ``x`` weighs its branch for outcome ``v`` by
+``p(x=v)``; a decomposable AND multiplies its children.  There is no
+literal encoding to weigh: the circuit branches on the pc-table
+variables themselves.  The weights of a variable's outcomes sum to 1, so
+the smoothing gap factor of a variable a branch never mentions is 1.
 
 Zero-probability outcomes are dropped from every support before
 compilation — a condition true only on measure-zero outcomes is simply
-false, and dropping them keeps the circuits (and one-hot groups) small.
+false, and dropping them keeps the decision nodes small.
 
 The compiled artifact (:class:`CompiledCondition`) memoizes its count,
 so the engine's circuit cache (:class:`repro.engine.cache.CircuitCache`)
@@ -37,12 +33,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.errors import ProbabilityError
-from repro.logic.compile import (
-    CompiledCircuit,
-    Supports,
-    compile_condition,
-    indicator_fields,
-)
+from repro.logic.compile import CompiledCircuit, compile_condition
 from repro.logic.counting import Distributions, check_distributions
 from repro.logic.syntax import Formula
 
@@ -80,7 +71,7 @@ def condition_supports(
 
 
 class CompiledCondition:
-    """A condition compiled to d-DNNF with its literal weights attached.
+    """A condition compiled to d-DNNF with its outcome weights attached.
 
     The probability is computed lazily and memoized: the engine's
     circuit cache stores these objects, so a cache hit answers a
@@ -89,19 +80,17 @@ class CompiledCondition:
     thread computes the same exact ``Fraction``.)
     """
 
-    __slots__ = ("formula", "compiled", "_pos", "_neg", "_probability")
+    __slots__ = ("formula", "compiled", "_weights", "_probability")
 
     def __init__(
         self,
         formula: Formula,
         compiled: CompiledCircuit,
-        pos: Dict[int, Fraction],
-        neg: Dict[int, Fraction],
+        weights: Dict[str, Dict[Hashable, Fraction]],
     ) -> None:
         self.formula = formula
         self.compiled = compiled
-        self._pos = pos
-        self._neg = neg
+        self._weights = weights
         self._probability: Optional[Fraction] = None
 
     def circuit_size(self) -> int:
@@ -112,7 +101,7 @@ class CompiledCondition:
         """Return the exact probability of the condition (memoized)."""
         result = self._probability
         if result is None:
-            result = self.compiled.circuit.weighted_count(self._pos, self._neg)
+            result = self.compiled.circuit.weighted_count(self._weights)
             self._probability = result
         return result
 
@@ -122,26 +111,12 @@ def compile_probability(
 ) -> CompiledCondition:
     """Compile *formula* under *distributions* into a weighted circuit."""
     check_distributions(distributions)
-    supports: Supports = condition_supports(formula, distributions)
-    compiled = compile_condition(formula, supports)
-    pos: Dict[int, Fraction] = {}
-    neg: Dict[int, Fraction] = {}
-    for variable in range(1, compiled.circuit.num_vars + 1):
-        atom = compiled.var_atom.get(variable)
-        fields = indicator_fields(atom) if atom is not None else None
-        if fields is None:
-            pos[variable] = Fraction(1)
-            neg[variable] = Fraction(1)
-            continue
-        name, value = fields
-        support = compiled.supports[name]
-        pos[variable] = Fraction(distributions[name][value])
-        if len(support) == 2:
-            other = support[1] if value == support[0] else support[0]
-            neg[variable] = Fraction(distributions[name][other])
-        else:
-            neg[variable] = Fraction(1)
-    return CompiledCondition(formula, compiled, pos, neg)
+    supports = condition_supports(formula, distributions)
+    weights = {
+        name: {value: Fraction(distributions[name][value]) for value in support}
+        for name, support in supports.items()
+    }
+    return CompiledCondition(formula, compile_condition(formula, supports), weights)
 
 
 def wmc_probability(formula: Formula, distributions: Distributions) -> Fraction:

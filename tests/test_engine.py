@@ -478,6 +478,44 @@ class TestDataset:
         fresh = session.query("pi[2](V)").probability((20,))
         assert fresh != before  # a new dataset sees the new state
 
+    def test_distributions_merge_from_the_collect_snapshot(self, intro_pctable):
+        """The merge is deferred to the first probability read, but it
+        reads the maps snapshotted at collect time: a re-register in
+        between (reweighting, or adding a conflicting table) does not
+        leak into an already collected dataset, while fresh datasets
+        see it — and the conflict still raises on their read."""
+        session = Engine().session(V=intro_pctable)
+        current = session.query("pi[2](V)")
+        current.collect()
+        assert current.probability((20,)) == Fraction(1, 4)
+        # Unchanged registry: the session's cached merge is reused.
+        assert current._merged_distributions() is session.distributions()
+
+        stale = session.query("pi[2](V)")
+        stale.collect()  # snapshot taken; nothing merged yet
+        reweighted = PCTable(
+            intro_pctable.table,
+            {
+                "x": {10: Fraction(1, 2), 11: Fraction(1, 2)},
+                "y": {20: Fraction(3, 4), 21: Fraction(1, 4)},
+            },
+        )
+        session.register("V", reweighted)
+        assert stale.probability((20,)) == Fraction(1, 4)
+        assert session.query("pi[2](V)").probability((20,)) == Fraction(3, 4)
+
+        collected = session.query("pi[2](V)")
+        collected.collect()
+        conflicting = PCTable(
+            [((9, Y), TOP)],
+            {"y": {20: Fraction(1, 2), 21: Fraction(1, 2)}},
+            arity=2,
+        )
+        session.register("W", conflicting)
+        assert collected.probability((20,)) == Fraction(3, 4)
+        with pytest.raises(ProbabilityError, match="conflicting"):
+            session.query("pi[2](V)").probability((20,))
+
     def test_terminals_share_one_evaluation(self, ctable):
         dataset = Engine().session(V=ctable).query("pi[1](V)")
         collected = dataset.collect()

@@ -3,12 +3,12 @@
 The contract under test: every probability route in the repository —
 valuation enumeration (the Definition-13 oracle), memoized Shannon
 expansion, OBDD weighted evaluation, and the compiled
-d-DNNF + weighted-model-counting route of :mod:`repro.logic.compile` /
+decision-DNNF + weighted-model-counting route of :mod:`repro.logic.compile` /
 :mod:`repro.prob.wmc` — returns the *same exact*
 :class:`~fractions.Fraction` on every condition, and the symbolic
 routes keep agreeing far beyond the scale enumeration can reach.
 
-Four layers:
+Five layers:
 
 - ``TestDifferentialSmall`` — enumerate ≡ Shannon ≡ WMC on a seeded
   corpus of random multi-valued conditions and pc-tables (the scale
@@ -20,6 +20,13 @@ Four layers:
 - ``TestWideDifferential`` — Shannon ≡ WMC on 30+-variable conditions
   (product spaces past ``2^30``: no enumeration cross-check exists, the
   two symbolic counters keep each other honest);
+- ``TestMultiValuedSemantics`` / ``TestCircuitInvariants`` — the
+  multi-valued reading (``Var = Var``, outcome partitions, zero-weight
+  outcomes) and the structural contract of the circuit itself: AND
+  children have disjoint scopes, decision children carry distinct
+  positive-support outcomes of a pivot none of them mentions, and the
+  first-occurrence branch order keeps ring circuits linear whatever the
+  variable names;
 - ``TestStrategyDispatch`` / ``TestEngineCircuitCache`` — the
   ``strategy=`` plumbing, the ``REPRO_PROB_STRATEGY`` override, and the
   engine's compiled-circuit cache (hits, invalidation on re-register).
@@ -27,6 +34,7 @@ Four layers:
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -45,11 +53,11 @@ from repro.errors import ProbabilityError
 from repro.logic.atoms import Var, boolvar, eq, ne
 from repro.logic.bdd import Bdd
 from repro.logic.compile import (
-    booleanize,
+    DAnd,
+    DDecision,
+    children_of,
     compile_condition,
     compile_formula,
-    indicator,
-    indicator_fields,
 )
 from repro.logic.counting import (
     PROB_STRATEGIES,
@@ -59,6 +67,7 @@ from repro.logic.counting import (
     probability_enumerate,
     probability_shannon,
 )
+from repro.logic.evaluation import evaluate
 from repro.logic.syntax import BOTTOM, TOP, conj, disj, neg
 from repro.prob import (
     BooleanPCTable,
@@ -70,6 +79,7 @@ from repro.prob import (
     tuple_probability_wmc,
     wmc_probability,
 )
+from repro.prob.wmc import condition_supports
 from repro.algebra import col_eq_const, rel, sel
 
 X = Var("x")
@@ -193,8 +203,9 @@ class TestWideDifferential:
     def test_wide_ring_conditions(self, width):
         # One pinned seed per width: memoized Shannon expansion is the
         # cross-check here and its cost is instance-dependent (seconds
-        # to tens of seconds); seed 103 keeps both instances under ~2s
-        # while WMC stays ~0.1s regardless.
+        # to tens of seconds); seed 103 keeps both instances under ~3s
+        # while WMC takes ~30ms cold on either (2-core host, CPython
+        # 3.11.7).
         rng = random.Random(103)
         distributions = random_distributions(rng, WIDE_PROBABILITY)
         condition = random_wide_condition(rng, distributions, width)
@@ -231,24 +242,8 @@ class TestWideDifferential:
         assert count == 2**60 - lucas[60]
 
 
-class TestBooleanization:
-    """The multi-valued-to-boolean encoding layer, unit by unit."""
-
-    def test_indicator_roundtrip(self):
-        atom = indicator("x", "red")
-        assert indicator_fields(atom) == ("x", "red")
-        assert indicator_fields(eq(X, 1)) is None
-        assert atom is indicator("x", "red")  # hash-consed
-
-    def test_singleton_support_collapses_to_constants(self):
-        supports = {"x": (5,)}
-        assert booleanize(eq(X, 5), supports) is TOP
-        assert booleanize(ne(X, 5), supports) is BOTTOM
-
-    def test_two_valued_support_uses_one_proposition(self):
-        supports = {"x": (1, 2)}
-        encoded = booleanize(eq(X, 2), supports)
-        assert encoded is neg(indicator("x", 1))
+class TestMultiValuedSemantics:
+    """The multi-valued reading of conditions on the compiled route."""
 
     def test_variable_variable_equality(self):
         distributions = {
@@ -292,6 +287,127 @@ class TestBooleanization:
         compiled = compile_condition(eq(X, 1), supports)
         assert compiled.circuit.size() > 0
         assert compiled.supports["x"] == (1, 2, 3)
+
+
+#: Distributions exercising every corner the compiled route must read
+#: exactly as the Shannon oracle does: ``a`` is non-boolean but used as a
+#: BoolVar (0 and "" are falsy), ``s`` has a singleton support, ``z``
+#: carries a zero-weight outcome, and ``x``/``y``/``w`` share outcomes so
+#: ``Var = Var`` atoms are satisfiable.
+INVARIANT_DISTRIBUTIONS = {
+    "a": {0: Fraction(1, 4), 2: Fraction(1, 4), "": Fraction(1, 4), "b": Fraction(1, 4)},
+    "s": {7: Fraction(1)},
+    "z": {1: Fraction(1, 2), 2: Fraction(1, 2), 3: Fraction(0)},
+    "x": {1: Fraction(1, 5), 2: Fraction(3, 5), 3: Fraction(1, 5)},
+    "y": {2: Fraction(1, 3), 3: Fraction(2, 3)},
+    "w": {1: Fraction(1, 2), 3: Fraction(1, 2)},
+}
+
+
+def random_invariant_condition(rng: random.Random, names, depth: int = 3):
+    """A random multi-valued condition over *names*, all atom kinds mixed."""
+    if depth == 0 or rng.random() < 0.25:
+        name = rng.choice(names)
+        roll = rng.random()
+        if roll < 0.2:
+            atom = boolvar(name)
+        elif roll < 0.4:
+            atom = eq(Var(name), Var(rng.choice(names)))
+        else:
+            atom = eq(Var(name), rng.choice(sorted(INVARIANT_DISTRIBUTIONS[name], key=repr)))
+        return neg(atom) if rng.random() < 0.3 else atom
+    roll = rng.random()
+    if roll < 0.3:
+        # Variable-disjoint halves: the decomposable-AND rule's input.
+        cut = rng.randint(1, len(names) - 1) if len(names) > 1 else 1
+        shuffled = rng.sample(names, len(names))
+        left, right = shuffled[:cut], shuffled[cut:] or shuffled[:cut]
+        return conj(
+            random_invariant_condition(rng, left, depth - 1),
+            random_invariant_condition(rng, right, depth - 1),
+        )
+    children = [
+        random_invariant_condition(rng, names, depth - 1)
+        for _ in range(rng.randint(2, 3))
+    ]
+    if roll < 0.55:
+        return conj(*children)
+    if roll < 0.85:
+        return disj(*children)
+    return neg(conj(*children))
+
+
+def brute_force_model_count(condition, supports) -> int:
+    """Valuations drawn from *supports* that satisfy *condition*."""
+    names = sorted(supports)
+    count = 0
+    for values in itertools.product(*(supports[name] for name in names)):
+        count += evaluate(condition, dict(zip(names, values)))
+    return count
+
+
+def ring(names):
+    """The "some adjacent pair both true" ring over boolean *names*."""
+    flags = [boolvar(name) for name in names]
+    size = len(flags)
+    return disj(
+        *(conj(flags[index], flags[(index + 1) % size]) for index in range(size))
+    )
+
+
+class TestCircuitInvariants:
+    """Structural d-DNNF contract and branch-order regression."""
+
+    def test_seeded_conditions_keep_every_invariant(self):
+        rng = random.Random(20261017)
+        names = sorted(INVARIANT_DISTRIBUTIONS)
+        kinds = set()
+        for trial in range(150):
+            condition = random_invariant_condition(rng, names)
+            compiled = compile_probability(condition, INVARIANT_DISTRIBUTIONS)
+            supports = condition_supports(condition, INVARIANT_DISTRIBUTIONS)
+            wmc = compiled.probability()
+            shannon = probability_shannon(condition, INVARIANT_DISTRIBUTIONS)
+            enumerated = probability_enumerate(condition, INVARIANT_DISTRIBUTIONS)
+            assert wmc == shannon == enumerated, f"trial={trial} {condition!r}"
+            circuit = compiled.compiled.circuit
+            assert circuit.model_count() == brute_force_model_count(
+                condition, supports
+            ), f"trial={trial} {condition!r}"
+            for node in circuit.nodes():
+                kinds.add(type(node))
+                if isinstance(node, DAnd):
+                    seen = set()
+                    for child in node.children:
+                        assert seen.isdisjoint(child.scope), f"trial={trial}"
+                        seen |= child.scope
+                    assert seen <= node.scope
+                elif isinstance(node, DDecision):
+                    outcomes = [value for value, _child in node.branches]
+                    assert len(set(outcomes)) == len(outcomes)
+                    assert set(outcomes) <= set(supports[node.variable])
+                    assert all(
+                        INVARIANT_DISTRIBUTIONS[node.variable][value] > 0
+                        for value in outcomes
+                    )
+                    for child in children_of(node):
+                        assert node.variable not in child.scope
+                        assert child.scope <= node.scope
+        assert {DAnd, DDecision} <= kinds
+
+    def test_ring_size_ignores_variable_names(self):
+        """Branching follows first occurrence, not names: shuffled names
+        give the same linear circuit as aligned ones (a count, not a
+        timing)."""
+        size = 60
+        aligned = [f"p{index:03d}" for index in range(size)]
+        shuffled = list(aligned)
+        random.Random(7).shuffle(shuffled)
+        sizes = [
+            compile_formula(ring(order)).circuit.size()
+            for order in (aligned, shuffled)
+        ]
+        assert sizes[0] == sizes[1] <= 4 * size
 
 
 class TestStrategyDispatch:

@@ -1,7 +1,8 @@
 """TYP001 — fully annotated defs in the typed core packages.
 
 The typed core — :mod:`repro.logic`, :mod:`repro.ctalgebra`,
-:mod:`repro.engine`, :mod:`repro.physical` — carries complete signature
+:mod:`repro.engine`, :mod:`repro.physical`, and :mod:`repro.prob.wmc`
+(the counting half of the circuit interface) — carries complete signature
 annotations so CI's mypy run has real signatures to check against (and
 so the next reader does not have to reverse-engineer parameter types).
 This lint enforces the *presence* of annotations locally, without
@@ -26,6 +27,7 @@ CORE_PACKAGES = (
     "repro/ctalgebra/",
     "repro/engine/",
     "repro/physical/",
+    "repro/prob/wmc.py",
 )
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
