@@ -828,9 +828,11 @@ def run_e28_vectorized_scan(rows: int, iters: int, repeats: int) -> dict:
     """E28 — a selection-heavy scan with a wide predicate.
 
     The interpreted ``select_bar`` rebuilds a substitution and re-walks
-    the predicate for every row; the vectorized ``FilterOp`` partially
-    evaluates it once per distinct constant signature (here ≤ 13·11 per
-    few thousand rows) and reuses the residual formula.
+    the predicate for every row; the vectorized ``FilterOp`` runs the
+    predicate's compiled kernel, which folds each constant (in)equality
+    without building an atom, over the scan batch cached on the table.
+    The predicate has no top-level ``column = constant`` conjunct, so
+    every row is visited (no arrangement key).
     """
     x, y = Var("x"), Var("y")
 
@@ -854,9 +856,11 @@ def run_e29_generalized_hash_join(rows: int, iters: int, repeats: int) -> dict:
     """E29 — a two-key equijoin with a residual disequality.
 
     Both executors hash-partition on the constant keys (the fused
-    ``join_bar`` generalized inside the plan); the contest is the
-    per-pair condition composition, where the vectorized runtime runs
-    the residual predicate's compiled kernel on hash-matched pairs.
+    ``join_bar`` generalized inside the plan).  The interpreted one
+    re-buckets the right operand on every execution; the vectorized
+    ``HashJoinOp`` probes the arrangement cached on the (scan-rooted)
+    indexed table, and runs the residual predicate's compiled kernel on
+    hash-matched pairs.
     """
     x, y = Var("x"), Var("y")
 

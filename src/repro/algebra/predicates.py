@@ -12,7 +12,7 @@ and yields a c-table condition.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence, Set, Tuple
+from typing import Dict, Hashable, Sequence, Set, Tuple
 
 from repro.errors import QueryError
 from repro.logic.atoms import Const, Eq, Term, Var, eq, ne
@@ -150,6 +150,29 @@ def split_equijoin(
                 continue
         residual.append(part)
     return tuple(pairs), conj(*residual)
+
+
+def constant_equalities(
+    predicate: Formula,
+) -> "Tuple[Tuple[int, ...], Tuple[Hashable, ...]]":
+    """The predicate's top-level ``column = constant`` conjuncts.
+
+    Returns the constrained columns, ascending, and the constant value
+    each must equal.  A column equated to two constants keeps the first:
+    any other row is still dropped, because that conjunct is part of the
+    predicate too.  Both are empty when there is no such conjunct.
+    """
+    conjuncts = (
+        predicate.children if isinstance(predicate, And) else (predicate,)
+    )
+    found: Dict[int, Hashable] = {}
+    for part in conjuncts:
+        if isinstance(part, Eq):
+            for column, other in ((part.left, part.right), (part.right, part.left)):
+                if is_column_var(column) and isinstance(other, Const):
+                    found.setdefault(column_index(column), other.value)
+    columns = tuple(sorted(found))
+    return columns, tuple(found[index] for index in columns)
 
 
 def eval_predicate(predicate: Formula, row: Sequence[Hashable]) -> bool:

@@ -66,7 +66,7 @@ from repro.logic.atoms import Const, Eq, Term, Var, boolvar
 from repro.logic.equality_sat import is_satisfiable_skeleton
 from repro.logic.syntax import BOTTOM, Bottom, Formula, is_atom, is_interned, walk
 from repro.algebra.ast import Query, RelVar
-from repro.algebra.predicates import column_index, is_column_var
+from repro.algebra.predicates import column_index, constant_equalities, is_column_var
 from repro.ctalgebra.plan import (
     ConstScan,
     DifferenceNode,
@@ -681,7 +681,12 @@ class PlanVerifier:
         """Check lowering invariants of a physical operator tree."""
         # Lazy import: ctalgebra sits below physical in the layering; the
         # verifier is handed physical trees by the lowering hook only.
-        from repro.physical.operators import HashJoinOp, FilterOp, ProjectOp
+        from repro.physical.operators import (
+            FilterOp,
+            HashJoinOp,
+            ProjectOp,
+            ScanOp,
+        )
 
         for node in op.walk():
             rows = node.est_rows
@@ -699,6 +704,19 @@ class PlanVerifier:
                 self._verify_predicate(
                     node.predicate, node.arity, rule, node
                 )
+                expected_key = (
+                    constant_equalities(node.predicate)
+                    if isinstance(node.child, ScanOp)
+                    else ((), ())
+                )
+                if (node.key_columns, node.key) != expected_key:
+                    raise PlanVerificationError(
+                        "lowering",
+                        f"filter probes key columns {node.key_columns} but "
+                        f"its predicate and child give {expected_key[0]}",
+                        rule=rule,
+                        node=node,
+                    )
             if isinstance(node, ProjectOp):
                 child_arity = node.child.arity
                 bad = [
@@ -739,11 +757,21 @@ class PlanVerifier:
         left_rows = node.left.est_rows
         right_rows = node.right.est_rows
         if left_rows is not None and right_rows is not None:
-            expected = "left" if left_rows < right_rows else "right"
+            # The larger input when scan-rooted (read through its cached
+            # arrangement), else the smaller; ties index the right.
+            from repro.physical.operators import FilterOp, ScanOp
+
+            larger = node.left if left_rows > right_rows else node.right
+            if isinstance(larger, FilterOp):
+                larger = larger.child
+            if isinstance(larger, ScanOp):
+                expected = "left" if left_rows > right_rows else "right"
+            else:
+                expected = "left" if left_rows < right_rows else "right"
             if node.build_side != expected:
                 raise PlanVerificationError(
                     "estimates",
-                    f"hash join builds on the {node.build_side} side but "
+                    f"hash join indexes the {node.build_side} side but "
                     f"the estimates ({left_rows:.1f} vs {right_rows:.1f} "
                     f"rows) pick {expected!r} — stale or inconsistent "
                     "estimates",

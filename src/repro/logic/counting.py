@@ -28,6 +28,14 @@ variable budget (mirroring how ``ctables_equivalent`` in
 :mod:`repro.worlds.compare` dispatches symbolic-first); the rule lives
 in :func:`resolve_strategy` alone.  All strategies return identical
 exact :class:`fractions.Fraction` values.
+
+Every strategy validates only the distributions of the condition's own
+variables (:func:`check_condition_distributions`): those must exist and
+be probability distributions, while an unmentioned variable's
+distribution integrates out to a factor of 1 and is not looked at.
+Whole maps are validated where they are built — a
+:class:`~repro.prob.pctable.PCTable` checks all of its distributions at
+construction.
 """
 
 from __future__ import annotations
@@ -95,13 +103,22 @@ def check_distributions(distributions: Distributions) -> None:
         check_distribution(name, distribution)
 
 
+def check_condition_distributions(
+    formula: Formula, distributions: Distributions
+) -> None:
+    """Require and validate the distributions of *formula*'s variables."""
+    _require_coverage(formula, distributions)
+    for name in sorted(formula.variables()):
+        check_distribution(name, distributions[name])
+
+
 def probability_enumerate(
     formula: Formula, distributions: Distributions
 ) -> Fraction:
-    """Exact probability by full enumeration of the product space."""
-    check_distributions(distributions)
-    _require_coverage(formula, distributions)
-    names = sorted(distributions)
+    """Exact probability by full enumeration of the product space of the
+    condition's variables."""
+    check_condition_distributions(formula, distributions)
+    names = sorted(formula.variables())
 
     def recurse(position: int, valuation: Dict[str, Hashable]) -> Fraction:
         if position == len(names):
@@ -180,8 +197,7 @@ def probability_shannon(
     evaluation folds to a constant stop immediately, and residuals are
     cached so isomorphic sub-problems are solved once.
     """
-    check_distributions(distributions)
-    _require_coverage(formula, distributions)
+    check_condition_distributions(formula, distributions)
     cache: Dict[Tuple[Formula, Tuple[str, ...]], Fraction] = {}
 
     def recurse(current: Formula, remaining: Tuple[str, ...]) -> Fraction:
@@ -217,7 +233,9 @@ def probability_shannon(
         cache[key] = total
         return total
 
-    return recurse(partial_evaluate(formula, {}), tuple(sorted(distributions)))
+    return recurse(
+        partial_evaluate(formula, {}), tuple(sorted(formula.variables()))
+    )
 
 
 def _require_coverage(formula: Formula, distributions: Distributions) -> None:

@@ -46,7 +46,9 @@ from repro.logic.syntax import (
     Top,
     conj,
     disj,
+    _LocalCounters,
     neg,
+    summed_counters,
 )
 
 Valuation = Mapping[str, Hashable]
@@ -65,12 +67,18 @@ _CACHE_LIMIT = 1 << 12
 _memoized_nodes: "weakref.WeakSet" = weakref.WeakSet()
 _cache_enabled = True
 
-#: Unified hit/miss accounting for the memo caches, in the same
+#: Eviction/invalidation accounting for the memo caches, in the same
 #: `CacheStats` shape as the engine's plan/result/circuit caches.
 #: Evictions count entries dropped by wholesale memo flushes at
 #: ``_CACHE_LIMIT``; invalidations count entries dropped by
 #: :func:`clear_evaluation_caches`.
 _stats = CacheStats()
+
+#: Memo hits and misses, counted in per-thread counters (no lock on the
+#: hot path, as the interning counters) and summed when read.  The list
+#: grows under :mod:`repro.logic.syntax`'s ``_COUNTERS_LOCK``.
+_ALL_COUNTERS: list = []  # guarded-by: _COUNTERS_LOCK [writes]
+_LOCAL = _LocalCounters(_ALL_COUNTERS)
 
 
 def set_evaluation_cache(enabled: bool) -> None:
@@ -119,6 +127,7 @@ def evaluation_cache_stats() -> dict:
         except AttributeError:
             pass
     stats: dict = dict(_stats.as_dict())
+    stats["hits"], stats["misses"] = summed_counters(_ALL_COUNTERS)
     stats["enabled"] = _cache_enabled
     stats["evaluate_entries"] = evaluate_entries
     stats["partial_evaluate_entries"] = partial_entries
@@ -155,10 +164,11 @@ def _memoized(
         for name in formula.sorted_variables()
     )
     cached = memo.get(key)
+    counters = _LOCAL.counters
     if cached is not None:
-        _stats.hit()
+        counters.hits += 1
         return cached
-    _stats.miss()
+    counters.misses += 1
     result = compute(formula, valuation)
     if len(memo) >= _CACHE_LIMIT:
         _stats.evicted(len(memo))

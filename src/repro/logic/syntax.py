@@ -91,19 +91,29 @@ _COUNTERS_LOCK = threading.Lock()
 #: module-global ints lost increments under threads sharing a session).
 #: Entries of finished threads are kept: their tallies remain part of the
 #: process totals.
-_ALL_COUNTERS: list = []  # guarded-by: _COUNTERS_LOCK
+_ALL_COUNTERS: list = []  # guarded-by: _COUNTERS_LOCK [writes]
 
 
 class _LocalCounters(threading.local):
-    """Thread-local handle; registers each thread's counters globally."""
+    """Thread-local handle; registers each thread's counters in
+    *registry* (a list guarded by :data:`_COUNTERS_LOCK`)."""
 
-    def __init__(self) -> None:
+    def __init__(self, registry: list) -> None:
         self.counters = _Counters()
         with _COUNTERS_LOCK:
-            _ALL_COUNTERS.append(self.counters)
+            registry.append(self.counters)
 
 
-_LOCAL = _LocalCounters()
+_LOCAL = _LocalCounters(_ALL_COUNTERS)
+
+
+def summed_counters(registry: list) -> Tuple[int, int]:
+    """(hits, misses) summed over the per-thread counters in *registry*."""
+    with _COUNTERS_LOCK:
+        return (
+            sum(counters.hits for counters in registry),
+            sum(counters.misses for counters in registry),
+        )
 
 
 class Formula:
@@ -341,9 +351,7 @@ def interning_stats() -> dict:
     totals are exact even with threads sharing a session interning
     concurrently.
     """
-    with _COUNTERS_LOCK:
-        hits = sum(counters.hits for counters in _ALL_COUNTERS)
-        misses = sum(counters.misses for counters in _ALL_COUNTERS)
+    hits, misses = summed_counters(_ALL_COUNTERS)
     return {
         "live_nodes": len(_INTERN_TABLE),
         "hits": hits,

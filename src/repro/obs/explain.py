@@ -7,7 +7,8 @@ gathered during one real execution: rows out (vs the planner's
 estimate), wall time, and a **drift** flag on operators whose actual
 cardinality diverges from the estimate by at least
 :data:`DRIFT_THRESHOLD` — the feedback signal adaptive re-lowering
-will key on.
+will key on.  A hash join input read through an arrangement reports
+the rows the probes examined and kept instead, and is never flagged.
 """
 
 from __future__ import annotations
@@ -99,6 +100,13 @@ def render_analyze(
         est = f"est≈{op.est_rows:.1f}" if op.est_rows is not None else "est=?"
         if record is None:
             return f"{op.label()}  {est}  act=?"
+        if record.partial:
+            # Read through an arrangement: the probes saw only part of
+            # the input, so its counts say nothing about the estimate.
+            return (
+                f"{op.label()}  {est}  act={record.rows_out} of "
+                f"{record.rows_in} examined (arranged)"
+            )
         label = f"{op.label()}  {est}  act={record.rows_out}"
         label += f"  time={_ms(record.seconds)}"
         drift = estimate_drift(op.est_rows, record.rows_out)

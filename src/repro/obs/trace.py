@@ -154,13 +154,18 @@ def trace_span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
 class OperatorRecord:
     """Accumulated actuals for one physical operator instance.
 
-    Mutated only through `TraceCollector` methods (under its lock).
+    Mutated only through `TraceCollector` methods (under its lock).  A
+    *partial* record belongs to a hash join input read through an
+    arrangement: ``rows_in`` counts the rows the join's probes examined
+    and ``rows_out`` those the input kept, not the input's full output,
+    and its time is part of the join's.
     """
 
     __slots__ = (
         "batches",
         "calls",
         "label",
+        "partial",
         "rows_in",
         "rows_out",
         "seconds",
@@ -173,12 +178,14 @@ class OperatorRecord:
         self.rows_in = 0
         self.rows_out = 0
         self.seconds = 0.0
+        self.partial = False
 
     def as_dict(self, timings: bool = True) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "batches": self.batches,
             "calls": self.calls,
             "operator": self.label,
+            "partial": self.partial,
             "rows_in": self.rows_in,
             "rows_out": self.rows_out,
         }
@@ -222,6 +229,16 @@ class TraceCollector:
             record.rows_in += rows_in
             record.rows_out += len(output)
             record.seconds += seconds
+
+    def record_partial(self, op: "PhysicalOp", examined: int, kept: int) -> None:
+        """Account a join input read through an arrangement: the rows
+        the probes examined and the rows the input kept of them."""
+        record = self.open(op)
+        with self._lock:
+            record.calls += 1
+            record.rows_in += examined
+            record.rows_out += kept
+            record.partial = True
 
     def lookup(self, op: "PhysicalOp") -> Optional[OperatorRecord]:
         with self._lock:

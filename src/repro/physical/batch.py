@@ -15,16 +15,77 @@ the binary operators exactly like
 :func:`repro.ctalgebra.lifted._combine` does, so the final
 :meth:`Batch.to_ctable` is structurally identical to what the
 interpreted evaluation would have produced.
+
+A table's scan batch is built once per immutable table version
+(:meth:`Batch.of_table`), and so is each :class:`Arrangement` on it —
+row ids bucketed by a constant key — which every later query shares
+(after McSherry et al.'s *shared arrangements*, VLDB 2020).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+import threading
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TableError
-from repro.logic.atoms import Term, Var
+from repro.logic.atoms import Const, Term, Var
 from repro.logic.syntax import Formula, TOP, conj
 from repro.tables.ctable import CRow, CTable
+
+#: Publishes the build-once memos (scan batches, arrangements); reads
+#: are lock-free, and of two racing first builds the first one wins.
+_MEMO_LOCK = threading.Lock()
+
+
+def constant_key(
+    key_columns: Sequence[Sequence[Term]], row: int
+) -> Optional[tuple]:
+    """The row's constant values in *key_columns*, or None if any is a Var."""
+    key = []
+    for column in key_columns:
+        term = column[row]
+        if not isinstance(term, Const):
+            return None
+        key.append(term.value)
+    return tuple(key)
+
+
+class Arrangement:
+    """A batch's row ids bucketed by their constant key on some columns.
+
+    ``buckets`` maps each all-constant key of *values* (so ``1``,
+    ``True`` and ``1.0`` share a bucket, and a NaN object matches only
+    itself, as in ``eq``) to its ascending rows; ``symbolic`` lists the
+    rows with a variable in a key column, and ``keyed`` flags the rest.
+    Read-only once built.
+    """
+
+    __slots__ = ("buckets", "symbolic", "keyed")
+
+    def __init__(
+        self, columns: Sequence[Sequence[Term]], keys: Sequence[int], size: int
+    ) -> None:
+        key_columns = [columns[index] for index in keys]
+        self.buckets: Dict[tuple, List[int]] = {}
+        self.symbolic: List[int] = []
+        self.keyed = [True] * size
+        for row in range(size):
+            key = constant_key(key_columns, row)
+            if key is None:
+                self.symbolic.append(row)
+                self.keyed[row] = False
+            else:
+                self.buckets.setdefault(key, []).append(row)
+
+    def matching(self, key: tuple) -> Sequence[int]:
+        """The rows that can equal *key*: its bucket merged, ascending,
+        with the symbolic rows."""
+        matched = self.buckets.get(key)
+        if matched is None:
+            return self.symbolic
+        if self.symbolic:
+            return sorted(matched + self.symbolic)  # two ascending runs
+        return matched
 
 
 class Batch:
@@ -35,16 +96,17 @@ class Batch:
     columns but still carries one empty value-tuple per condition.
 
     A batch is immutable after construction — columns, conditions, and
-    metadata are never reassigned — and lives for one execution: answers
-    are cached as materialized c-tables, never as batches.  The one
-    lazily computed slot (:meth:`variables`) is a deterministic memo,
-    filled only when a finite-domain operand meets this one in
-    :func:`merge_metadata`.
+    metadata are never reassigned.  An operator's output lives for one
+    execution (answers are cached as materialized c-tables); a scan
+    batch (:meth:`of_table`) lives as long as its table version.  The
+    lazy slots are deterministic memos: :meth:`variables` (read only
+    when a finite-domain operand meets this one in
+    :func:`merge_metadata`) and :meth:`arrangement`.
     """
 
     __slots__ = (
         "columns", "conditions", "batch_arity", "domains",
-        "global_condition", "_vars",
+        "global_condition", "_vars", "_tuples", "_arrangements",
     )
 
     def __init__(
@@ -69,6 +131,9 @@ class Batch:
         self.domains = domains
         self.global_condition = global_condition
         self._vars: Optional[FrozenSet[str]] = None
+        #: The row tuples, when the batch was built from a table's rows.
+        self._tuples: Optional[Tuple[Tuple[Term, ...], ...]] = None
+        self._arrangements: Dict[Tuple[int, ...], Arrangement] = {}  # guarded-by: _MEMO_LOCK [writes]
 
     # ------------------------------------------------------------------
     # Structure
@@ -83,10 +148,27 @@ class Batch:
 
     def rows(self) -> Iterator[Tuple[Term, ...]]:
         """Yield the value tuples, row-wise (used at materialization)."""
+        if self._tuples is not None:
+            return iter(self._tuples)
         if self.columns:
             return iter(zip(*self.columns))
         # Zero-arity rows: one empty tuple per condition.
         return iter(() for _ in self.conditions)
+
+    def row_tuples(self) -> Sequence[Tuple[Term, ...]]:
+        """The value tuples, indexable (shared when built from a table)."""
+        if self._tuples is not None:
+            return self._tuples
+        return list(self.rows())
+
+    def arrangement(self, keys: Tuple[int, ...]) -> Arrangement:
+        """The :class:`Arrangement` of this batch on *keys* (memoized)."""
+        found = self._arrangements.get(keys)
+        if found is None:
+            built = Arrangement(self.columns, keys, len(self))
+            with _MEMO_LOCK:
+                found = self._arrangements.setdefault(keys, built)
+        return found
 
     def variables(self) -> FrozenSet[str]:
         """Every variable in values, conditions, and the global (cached).
@@ -114,17 +196,34 @@ class Batch:
     def from_ctable(cls, table: CTable) -> "Batch":
         """Columnar-ize *table* (one transpose; conditions stay interned)."""
         rows = table.rows
+        tuples = tuple(row.values for row in rows)
         if rows:
-            columns = tuple(zip(*(row.values for row in rows)))
+            columns = tuple(zip(*tuples))
         else:
             columns = tuple(() for _ in range(table.arity))
-        return cls(
+        batch = cls(
             columns,
             tuple(row.condition for row in rows),
             arity=table.arity,
             domains=table.domains,
             global_condition=table.global_condition,
         )
+        batch._tuples = tuples
+        return batch
+
+    @classmethod
+    def of_table(cls, table: CTable) -> "Batch":
+        """*table*'s scan batch, memoized on the immutable table version:
+        a mutation or re-register makes a new table, so nothing is ever
+        invalidated."""
+        batch = table._scan_batch
+        if batch is None:
+            built = cls.from_ctable(table)
+            with _MEMO_LOCK:
+                batch = table._scan_batch
+                if batch is None:
+                    batch = table._scan_batch = built
+        return batch
 
     @classmethod
     def from_rows(

@@ -7,18 +7,24 @@ supplied:
 
 - a :class:`~repro.ctalgebra.plan.JoinNode` whose predicate contains
   cross-operand column equalities becomes a
-  :class:`~repro.physical.operators.HashJoinOp` with the **build side
-  on the smaller estimated input**; without equijoin keys it lowers to
-  the ``FilterOp``-over-``ProductOp`` pipeline (the nested-loop shape
+  :class:`~repro.physical.operators.HashJoinOp` that **indexes the
+  larger estimated input when it is scan-rooted** (a scan, or a filter
+  over one) — the join then probes the arrangement cached on that
+  table version and never materializes the input — and **the smaller
+  one otherwise**; without equijoin keys it lowers to the
+  ``FilterOp``-over-``ProductOp`` pipeline (the nested-loop shape
   ``join_bar`` falls back to);
 - a :class:`~repro.ctalgebra.plan.SelectNode` becomes a
   :class:`~repro.physical.operators.FilterOp` running the predicate's
-  compiled kernel;
+  compiled kernel; directly over a scan, its ``column = constant``
+  conjuncts make it probe the scan's arrangement for their key;
 - the remaining operators map one-to-one.
 
-Every choice preserves the structural-identity contract: whatever build
-side the lowering picks, the materialized answer equals the interpreted
-``execute_plan`` result row-for-row.
+``explain_physical`` shows both decisions (``key[…]`` on a filter,
+``arranged`` on a join) and ``PlanVerifier.verify_physical`` re-checks
+them.  Every choice preserves the structural-identity contract: whatever
+side the lowering indexes, the materialized answer equals the
+interpreted ``execute_plan`` result row-for-row.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from repro.physical.operators import (
     ProjectOp,
     ScanOp,
     UnionOp,
+    scan_rooted,
 )
 
 
@@ -73,8 +80,9 @@ def lower(
     """Choose physical operators for *plan* (estimates-guided when given).
 
     With a *verifier* (``ExecutionConfig.verify_plans``) the lowered
-    tree is checked for the lowering invariants — finite estimates and
-    build sides consistent with them — before it is returned.
+    tree is checked for the lowering invariants — finite estimates,
+    indexed sides consistent with them, filter keys consistent with
+    their predicates — before it is returned.
     """
     if _memo is None:
         _memo = {}
@@ -131,12 +139,13 @@ def lower(
                 build_side = "right"
                 left_estimate = found(node.left)
                 right_estimate = found(node.right)
-                if (
-                    left_estimate is not None
-                    and right_estimate is not None
-                    and left_estimate.rows < right_estimate.rows
-                ):
-                    build_side = "left"
+                if left_estimate is not None and right_estimate is not None:
+                    left_rows, right_rows = left_estimate.rows, right_estimate.rows
+                    larger = "left" if left_rows > right_rows else "right"
+                    if scan_rooted(left_op if larger == "left" else right_op):
+                        build_side = larger
+                    elif left_rows < right_rows:
+                        build_side = "left"
                 op = HashJoinOp(
                     left_op,
                     right_op,

@@ -10,6 +10,10 @@ engine flip executors without observable changes.
 
 Where the speed comes from:
 
+- scans are cached: a table version's columnar batch and every
+  :class:`~repro.physical.batch.Arrangement` on it (row ids bucketed by
+  a constant key, beside the rows with a variable in a key column) are
+  built once and shared by every later query;
 - :class:`FilterOp` and :class:`HashJoinOp` compile their predicates
   once, at construction, into a
   :class:`~repro.physical.kernels.PredicateKernel` — the same kernel
@@ -17,27 +21,23 @@ Where the speed comes from:
   folds each (in)equality conjunct to ``true`` or ``false`` without
   building an atom and stops at the first ``false``; a ``true`` result
   keeps the row's interned condition object untouched (the
-  ``select_bar`` fast exit, vectorized);
+  ``select_bar`` fast exit, vectorized).  A filter directly over a scan
+  runs it only on the rows its ``column = constant`` conjuncts can
+  match, read from the scan's arrangement;
 - :class:`HashJoinOp` generalizes the fused ``join_bar`` to any equijoin
-  keys the planner found, with the *build side chosen by the
-  cardinality estimates*; on hash-matched pairs the kernel folds the
-  equijoin conjuncts to ``true`` on their constants;
+  keys the planner found.  It indexes the input ``lower()`` picks from
+  the cardinality estimates; a scan-rooted one is read through its
+  cached arrangement, filtered only where the probes reach;
 - :class:`ProjectOp` deduplicates projected rows through one hash pass,
   disjoining the conditions of now-identical rows (the paper's ``π̄``);
-- :class:`DifferenceOp`/:class:`IntersectOp` reuse the constant-tuple
-  hash-bucket scheme of the lifted operators, fold a candidate pair to
-  ``false`` as soon as two constants in one column disagree, and
-  memoize the whole membership condition per distinct left value-tuple.
+- :class:`DifferenceOp`/:class:`IntersectOp` bucket the right operand's
+  constant tuples in an arrangement, fold a candidate pair to ``false``
+  as soon as two constants in one column disagree, and memoize the
+  whole membership condition per distinct left value-tuple.
 
-Each operator's work is split three ways: ``compute`` consumes
-already-materialized input batches (``execute`` only adds the
-pull-based recursion over children), the build-once state (hash-join
-partitions, membership indexes) is constructed by separate helpers, and
-the per-row loops are *range kernels* that accept an arbitrary row
-range, sealed into a batch by a separate ``seal`` step.  The batch path
-runs the kernels over ``range(n)``; keeping them separable lets another
-caller — delta propagation, say — share the exact kernels and so
-produce structurally identical outputs.
+``compute`` consumes already-materialized input batches; ``execute``
+adds the pull-based recursion over children (and, for a hash join over
+a scan-rooted input, reads that input through its arrangement instead).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -63,17 +64,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.obs.trace import TraceCollector
 
 from repro.errors import ArityError, QueryError, nearest_name
-from repro.logic.atoms import Const, Term, eq
+from repro.logic.atoms import Const, Term
 from repro.logic.syntax import BOTTOM, TOP, Formula, conj, disj, neg
 from repro.tables.ctable import CTable
-from repro.physical.batch import Batch, merge_metadata
+from repro.algebra.predicates import constant_equalities
+from repro.physical.batch import Arrangement, Batch, constant_key, merge_metadata
 from repro.physical.kernels import PredicateKernel, tuples_equal
 
 #: (left row, right row, composed condition) emitted by join/product loops.
 _Pair = Tuple[int, int, Formula]
-
-#: Hash-partitioned build side: (buckets, symbolic row ids, keyed flags).
-_BuildIndex = Tuple[Dict[tuple, List[int]], List[int], List[bool]]
 
 
 class ExecContext:
@@ -83,7 +82,6 @@ class ExecContext:
         "tables",
         "simplify_conditions",
         "collector",
-        "_scan_batches",
         "_simplify_memo",
     )
 
@@ -98,29 +96,24 @@ class ExecContext:
         #: Per-operator actuals sink (EXPLAIN ANALYZE / tracing); None —
         #: the overwhelmingly common case — keeps execution untouched.
         self.collector = collector
-        self._scan_batches: Dict[str, Batch] = {}
         self._simplify_memo: Dict[Formula, Formula] = {}
 
     def scan_batch(self, name: str, rel_arity: int) -> Batch:
-        """The columnar batch of a bound table (built once per execution,
-        so self-joins transpose the table a single time)."""
-        batch = self._scan_batches.get(name)
-        if batch is None:
-            table = self.tables.get(name)
-            if table is None:
-                hint = nearest_name(name, sorted(self.tables))
-                raise QueryError(
-                    f"no c-table bound for name {name!r}; bound names are "
-                    f"{sorted(self.tables)}{hint}"
-                )
-            batch = Batch.from_ctable(table)
-            self._scan_batches[name] = batch
-        if batch.arity != rel_arity:
+        """The columnar batch of a bound table, cached on the table
+        version (:meth:`~repro.physical.batch.Batch.of_table`)."""
+        table = self.tables.get(name)
+        if table is None:
+            hint = nearest_name(name, sorted(self.tables))
             raise QueryError(
-                f"c-table {name!r} has arity {batch.arity}, "
+                f"no c-table bound for name {name!r}; bound names are "
+                f"{sorted(self.tables)}{hint}"
+            )
+        if table.arity != rel_arity:
+            raise QueryError(
+                f"c-table {name!r} has arity {table.arity}, "
                 f"query expects {rel_arity}"
             )
-        return batch
+        return Batch.of_table(table)
 
     def simplified(self, condition: Formula) -> Formula:
         """Memoized condition simplification (interned nodes hash O(1))."""
@@ -185,7 +178,10 @@ class PhysicalOp:
 
     def execute(self, ctx: ExecContext) -> Batch:
         """Pull the children and process them — the serial path."""
-        inputs = tuple(child.execute(ctx) for child in self.children())
+        return self.run(ctx, tuple(child.execute(ctx) for child in self.children()))
+
+    def run(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
+        """``compute``, timed into the collector when one is attached."""
         collector = ctx.collector
         if collector is None:
             return self.compute(ctx, inputs)
@@ -294,15 +290,27 @@ class FilterOp(PhysicalOp):
     conjunction is allocated at all (the ``select_bar`` fast exit,
     vectorized); a ``false`` fold drops the row before it is ever
     materialized.
+
+    Directly over a :class:`ScanOp`, a predicate with top-level
+    ``column = constant`` conjuncts (``key_columns``/``key``) runs its
+    kernel only on the key's bucket of the scan's cached
+    :class:`~repro.physical.batch.Arrangement`, merged in row order with
+    the rows holding a variable in a key column: every other row has a
+    key conjunct that folds to ``false``.
     """
 
-    __slots__ = ("child", "predicate", "kernel")
+    __slots__ = ("child", "predicate", "kernel", "key_columns", "key")
 
     def __init__(self, child: PhysicalOp, predicate: Formula) -> None:
         super().__init__()
         self.child = child
         self.predicate = predicate
         self.kernel = PredicateKernel(predicate, child.arity)
+        self.key_columns, self.key = (
+            constant_equalities(predicate)
+            if isinstance(child, ScanOp)
+            else ((), ())
+        )
 
     @property
     def arity(self) -> int:
@@ -313,29 +321,49 @@ class FilterOp(PhysicalOp):
 
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         (child,) = inputs
-        keep, kept_conditions, unchanged = self.filter_range(
-            child, range(len(child.conditions))
-        )
+        rows: Sequence[int] = range(len(child.conditions))
+        if self.key_columns:
+            rows = child.arrangement(self.key_columns).matching(self.key)
+        keep, kept_conditions, unchanged = self.filter_range(child, rows)
         return self.seal(ctx, child, keep, kept_conditions, unchanged)
 
+    def compose(self, condition: Formula, values: Sequence[Term]) -> Formula:
+        """One row's ``σ̄`` condition: *condition* itself when the
+        predicate folds to ``true`` on *values*, ``false`` when it folds
+        to ``false``, else their conjunction."""
+        residual = self.kernel.instantiate(values)
+        if residual is TOP:
+            return condition
+        if residual is BOTTOM:
+            return BOTTOM
+        return conj(condition, residual)
+
     def filter_range(
-        self, child: Batch, rows: range
+        self, child: Batch, rows: Sequence[int]
     ) -> Tuple[List[int], List[Formula], bool]:
-        """The filter kernel over a row range of *child*.
+        """The filter kernel over ascending row ids of *child*.
 
         Returns the kept row indexes, their composed conditions, and
         whether every visited row survived with its original interned
-        condition object.  Row tuples are zipped out of the columns one
-        at a time; a list of all of them would outlive young garbage
-        collections and bring on more full ones.
+        condition object.  A range zips its row tuples out of the
+        columns one at a time (a list of all of them would outlive
+        young garbage collections and bring on more full ones); other
+        row ids index the row tuples a scan batch already holds.
         """
         instantiate = self.kernel.instantiate
         conditions = child.conditions
+        if isinstance(rows, range):
+            tuples: Iterable[Sequence[Term]] = islice(
+                child.rows(), rows.start, rows.stop, rows.step
+            )
+        else:
+            every = child.row_tuples()
+            tuples = (every[row] for row in rows)
         keep: List[int] = []
         kept_conditions: List[Formula] = []
         unchanged = True
-        tuples = islice(child.rows(), rows.start, rows.stop, rows.step)
         for row, values in zip(rows, tuples):
+            # compose(), inlined: this is the hot loop.
             residual = instantiate(values)
             if residual is TOP:
                 keep.append(row)
@@ -381,7 +409,8 @@ class FilterOp(PhysicalOp):
         )
 
     def label(self) -> str:
-        return f"Filter[{self.predicate!r}]"
+        key = ",".join(str(column) for column in self.key_columns)
+        return f"Filter[{self.predicate!r}]" + (f" key[{key}]" if key else "")
 
 
 # ----------------------------------------------------------------------
@@ -412,20 +441,11 @@ class ProjectOp(PhysicalOp):
 
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         (child,) = inputs
-        order, grouped = self.group_range(
-            child, range(len(child.conditions))
-        )
-        return self.seal(ctx, child, order, grouped)
-
-    def group_range(
-        self, child: Batch, rows: Iterable[int]
-    ) -> Tuple[List[Tuple[Term, ...]], Dict[Tuple[Term, ...], List[Formula]]]:
-        """Group a row range by projected value-tuple, in row order."""
         projected = [child.columns[index] for index in self.columns]
         grouped: Dict[Tuple[Term, ...], List[Formula]] = {}
         order: List[Tuple[Term, ...]] = []
         conditions = child.conditions
-        for row in rows:
+        for row in range(len(conditions)):
             key = tuple(column[row] for column in projected)
             bucket = grouped.get(key)
             if bucket is None:
@@ -433,15 +453,6 @@ class ProjectOp(PhysicalOp):
                 order.append(key)
             else:
                 bucket.append(conditions[row])
-        return order, grouped
-
-    def seal(
-        self,
-        ctx: ExecContext,
-        child: Batch,
-        order: Sequence[Tuple[Term, ...]],
-        grouped: Mapping[Tuple[Term, ...], List[Formula]],
-    ) -> Batch:
         merged = [disj(*grouped[key]) for key in order]
         columns = (
             list(zip(*order))
@@ -461,71 +472,101 @@ class ProjectOp(PhysicalOp):
 # Joins and products
 # ----------------------------------------------------------------------
 
-def _constant_key(
-    columns: Sequence[Sequence[Term]], key_columns: Sequence[int], row: int
-) -> Optional[tuple]:
-    """The row's constant values at *key_columns*, or None if any is a Var."""
-    key = []
-    for index in key_columns:
-        term = columns[index][row]
-        if not isinstance(term, Const):
-            return None
-        key.append(term.value)
-    return tuple(key)
-
-
-def _pair_condition(
-    kernel: PredicateKernel, left: Batch, right: Batch
-) -> Callable[[int, int], Formula]:
-    """``(i, j) ↦ conj(l.condition, r.condition, c(t₁t₂))`` for two batches.
-
-    The kernel runs over the concatenation of the two rows' value
-    tuples; on hash-matched pairs it folds the equijoin conjuncts to
-    ``true`` on their constants, so only the residual can survive.
-    """
-    left_rows, right_rows = list(left.rows()), list(right.rows())
-    left_conditions, right_conditions = left.conditions, right.conditions
-    instantiate = kernel.instantiate
-
-    def pair_condition(i: int, j: int) -> Formula:
-        instantiated = instantiate(left_rows[i] + right_rows[j])
-        if instantiated is BOTTOM:
-            return BOTTOM
-        return conj(left_conditions[i], right_conditions[j], instantiated)
-
-    return pair_condition
-
-
 def _gather_pairs(
-    left: Batch,
-    right: Batch,
+    left_columns: Sequence[Sequence[Term]],
+    right_columns: Sequence[Sequence[Term]],
     pairs: Sequence[Tuple[int, int, Formula]],
 ) -> Tuple[List[Sequence[Term]], List[Formula]]:
     """Columns + conditions of the surviving (i, j, condition) pairs."""
     left_index = [i for i, _, _ in pairs]
     right_index = [j for _, j, _ in pairs]
     columns: List[Sequence[Term]] = [
-        tuple(column[i] for i in left_index) for column in left.columns
+        tuple(column[i] for i in left_index) for column in left_columns
     ]
     columns.extend(
-        tuple(column[j] for j in right_index) for column in right.columns
+        tuple(column[j] for j in right_index) for column in right_columns
     )
     return columns, [condition for _, _, condition in pairs]
+
+
+def scan_rooted(op: PhysicalOp) -> bool:
+    """True for a :class:`ScanOp` or a :class:`FilterOp` directly over
+    one: an input a hash join can read through its table's cached
+    arrangement."""
+    if isinstance(op, FilterOp):
+        op = op.child
+    return isinstance(op, ScanOp)
+
+
+class _Indexed(NamedTuple):
+    """A hash join's indexed input as its probes read it.
+
+    ``conditions[row]`` is the input's condition of row *row* — ``false``
+    when the input drops it — or None until ``fetch(row)`` computes and
+    stores it; *header* carries the input's domains and global.
+    """
+
+    arrangement: Arrangement
+    rows: Sequence[Tuple[Term, ...]]
+    columns: Sequence[Sequence[Term]]
+    conditions: Sequence[Optional[Formula]]
+    fetch: Callable[[int], Formula]
+    header: Batch
+
+
+def _arranged_input(
+    ctx: ExecContext, op: PhysicalOp, base: Batch, keys: Tuple[int, ...]
+) -> _Indexed:
+    """A scan-rooted join input read through *base*'s arrangement.
+
+    A filter's condition for a row is computed when a probe first
+    reaches the row, then memoized; it is dropped and simplified as
+    :meth:`FilterOp.seal` would.  A bare scan's conditions are its rows'.
+    """
+    conditions = base.conditions
+    tuples = base.row_tuples()
+    memo: List[Optional[Formula]] = [None] * len(conditions)
+    compose = op.compose if isinstance(op, FilterOp) else None
+    simplify = compose is not None and ctx.simplify_conditions
+
+    def fetch(row: int) -> Formula:
+        condition = conditions[row]
+        if compose is not None:
+            condition = compose(condition, tuples[row])
+            if simplify and condition is not BOTTOM:
+                condition = ctx.simplified(condition)
+        memo[row] = condition
+        return condition
+
+    global_condition = base.global_condition
+    if simplify:
+        global_condition = ctx.simplified(global_condition)
+    # Metadata only: merge_metadata reads no rows of a side whose domain
+    # kind (finite or infinite) equals the other side's.
+    header = Batch(
+        (), (), arity=base.arity, domains=base.domains,
+        global_condition=global_condition,
+    )
+    return _Indexed(
+        base.arrangement(keys), tuples, base.columns, memo, fetch, header
+    )
 
 
 class HashJoinOp(PhysicalOp):
     """``σ̄_c(T₁ ×̄ T₂)`` fused, hash-partitioned on arbitrary equijoin keys.
 
-    Rows whose key columns are all constants are bucketed; a pair whose
-    constants disagree could only produce a ``false`` condition, so it is
-    never built.  Rows with a variable in a key column stay symbolic and
-    pair with every opposite row (Lemma 1 quantifies over one valuation).
+    The *indexed* input (``build_side``) is bucketed by the constant
+    values of its key columns in an
+    :class:`~repro.physical.batch.Arrangement`; a pair whose constants
+    disagree could only produce a ``false`` condition, so it is never
+    built.  Rows with a variable in a key column stay symbolic and pair
+    with every opposite row (Lemma 1 quantifies over one valuation).
 
-    ``build_side`` is chosen by ``lower()`` from the cardinality
-    estimates.  Building on the left streams the (usually larger) right
-    side through the hash table; the emitted pairs are then re-ranked to
-    the probe-left order so the output stays structurally identical to
-    ``join_bar``'s for downstream condition-dedup.
+    ``lower()`` indexes the larger estimated input when it is
+    scan-rooted, else the smaller.  A scan-rooted indexed input is never
+    materialized: the join probes the arrangement cached on its table
+    version, and a filter on it runs only on the rows the probes reach.
+    Any other indexed input is materialized and arranged per execution.
     """
 
     __slots__ = (
@@ -560,133 +601,119 @@ class HashJoinOp(PhysicalOp):
     def children(self) -> Tuple[PhysicalOp, ...]:
         return (self.left, self.right)
 
+    def indexed(self) -> PhysicalOp:
+        """The input the join buckets (``build_side``)."""
+        return self.left if self.build_side == "left" else self.right
+
+    def execute(self, ctx: ExecContext) -> Batch:
+        indexed_op = self.indexed()
+        scan = indexed_op.child if isinstance(indexed_op, FilterOp) else indexed_op
+        if not isinstance(scan, ScanOp):
+            return super().execute(ctx)
+        index_left = self.build_side == "left"
+        if index_left:
+            base = ctx.scan_batch(scan.name, scan.rel_arity)
+            probe = self.right.execute(ctx)
+        else:
+            probe = self.left.execute(ctx)
+            base = ctx.scan_batch(scan.name, scan.rel_arity)
+        if (base.domains is None) != (probe.domains is None):
+            # A finite/infinite mix is rejected only when the infinite
+            # side has variables: materialize the input to tell.
+            indexed = indexed_op.execute(ctx)
+            return self.run(ctx, (indexed, probe) if index_left else (probe, indexed))
+        started = perf_counter()
+        keys = self.left_keys if index_left else self.right_keys
+        side = _arranged_input(ctx, indexed_op, base, keys)
+        output = self.join(ctx, probe, side)
+        collector = ctx.collector
+        if collector is not None:
+            collector.record(self, (probe,), output, perf_counter() - started)
+            reached = [c for c in side.conditions if c is not None]
+            kept = sum(1 for condition in reached if condition is not BOTTOM)
+            collector.record_partial(indexed_op, len(reached), kept)
+            if scan is not indexed_op:
+                collector.record(scan, (), base, 0.0)
+        return output
+
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         left, right = inputs
-        pair_condition = _pair_condition(self.kernel, left, right)
-        if self.build_side == "right":
-            build = self.build(right, self.right_keys)
-            pairs = self.probe_left(
-                left, right, pair_condition, build, range(len(left))
-            )
+        if self.build_side == "left":
+            probe, built, keys = right, left, self.left_keys
         else:
-            build = self.build(left, self.left_keys)
-            ranked = self.probe_right(
-                left, right, pair_condition, build, range(len(right))
-            )
-            pairs = self.restore_order(ranked)
-        return self.seal(ctx, left, right, pairs)
+            probe, built, keys = left, right, self.right_keys
+        side = _Indexed(
+            built.arrangement(keys), built.row_tuples(), built.columns,
+            built.conditions, built.conditions.__getitem__, built,
+        )
+        return self.join(ctx, probe, side)
 
-    @staticmethod
-    def build(batch: Batch, keys: Tuple[int, ...]) -> _BuildIndex:
-        """Hash-partition the build side once: (buckets, symbolic, keyed).
-
-        ``keyed[row]`` is False exactly for the symbolic rows — the
-        probe-right rank pass needs it per probed row, so it is derived
-        here once rather than per probe range.  The structures belong to
-        one ``compute`` call and are read-only while it probes them.
-        """
-        buckets: Dict[tuple, List[int]] = {}
-        symbolic: List[int] = []
-        keyed = [True] * len(batch)
-        for row in range(len(batch)):
-            key = _constant_key(batch.columns, keys, row)
-            if key is None:
-                symbolic.append(row)
-                keyed[row] = False
-            else:
-                buckets.setdefault(key, []).append(row)
-        return buckets, symbolic, keyed
-
-    def probe_left(
-        self,
-        left: Batch,
-        right: Batch,
-        pair_condition: Callable[[int, int], Formula],
-        build: _BuildIndex,
-        rows: Iterable[int],
-    ) -> List[_Pair]:
-        """Probe left rows in order against a right build (join_bar's loop).
-
-        Emitted pairs are left-major, so concatenating the outputs of
-        consecutive row ranges reproduces the full-range output exactly.
-        """
-        buckets, symbolic, _ = build
-        all_right = range(len(right))
-        pairs = []
-        for i in rows:
-            key = _constant_key(left.columns, self.left_keys, i)
-            if key is None:
-                for j in all_right:
-                    condition = pair_condition(i, j)
-                    if condition is not BOTTOM:
-                        pairs.append((i, j, condition))
-                continue
-            # Bucket matches first, then the symbolic rows (join_bar's
-            # candidate order).
-            for j in chain(buckets.get(key, ()), symbolic):
-                condition = pair_condition(i, j)
-                if condition is not BOTTOM:
-                    pairs.append((i, j, condition))
-        return pairs
-
-    def probe_right(
-        self,
-        left: Batch,
-        right: Batch,
-        pair_condition: Callable[[int, int], Formula],
-        build: _BuildIndex,
-        rows: Iterable[int],
-    ) -> List[Tuple[int, int, int, Formula]]:
-        """Build on the left, probe right rows; emit *ranked* pairs.
-
-        A pair survives iff the left key is symbolic, the right key is
-        symbolic, or both constants agree — the same set either way.  The
-        probe-left output ranks pair (i, j) by ``(i, flag, j)`` where
-        *flag* puts a symbolic right row after a keyed left row's bucket
-        matches; :meth:`restore_order` sorts by that (unique) rank, so
-        ranked pairs collected from disjoint right-row ranges merge into
-        the exact probe-left row order regardless of range boundaries.
-        """
-        buckets, symbolic, left_keyed = build
-        all_left = range(len(left))
-        ranked = []
-        for j in rows:
-            key = _constant_key(right.columns, self.right_keys, j)
-            if key is None:
-                for i in all_left:
-                    condition = pair_condition(i, j)
-                    if condition is BOTTOM:
-                        continue
-                    flag = 1 if left_keyed[i] else 0
-                    ranked.append((i, flag, j, condition))
-                continue
-            for i in chain(buckets.get(key, ()), symbolic):
-                condition = pair_condition(i, j)
-                if condition is not BOTTOM:
-                    ranked.append((i, 0, j, condition))
-        return ranked
-
-    @staticmethod
-    def restore_order(ranked: list) -> list:
-        """Sort ranked pairs back into the deterministic probe-left order."""
-        ranked.sort(key=lambda pair: pair[:3])
-        return [(i, j, condition) for i, _, j, condition in ranked]
-
-    def seal(
-        self,
-        ctx: ExecContext,
-        left: Batch,
-        right: Batch,
-        pairs: Sequence[_Pair],
-    ) -> Batch:
-        columns, conditions = _gather_pairs(left, right, pairs)
-        domains, global_condition = merge_metadata(left, right)
+    def join(self, ctx: ExecContext, probe: Batch, side: _Indexed) -> Batch:
+        """Probe *side* with every *probe* row and seal the pairs."""
+        pairs = self.probe(probe, side)
+        if self.build_side == "right":
+            columns, conditions = _gather_pairs(probe.columns, side.columns, pairs)
+            domains, global_condition = merge_metadata(probe, side.header)
+        else:
+            columns, conditions = _gather_pairs(side.columns, probe.columns, pairs)
+            domains, global_condition = merge_metadata(side.header, probe)
         return _finish(
             ctx, columns, conditions, self.arity, domains, global_condition
         )
 
+    def probe(self, probe: Batch, side: _Indexed) -> List[_Pair]:
+        """Pair each probe row with its candidates — every indexed row
+        for a symbolic probe key, else the key's bucket, then the
+        symbolic rows — in ``join_bar``'s left-major order.
+
+        Indexing the right input, that is the probe order itself.
+        Indexing the left one, pair (i, j) is ranked ``(i, flag, j)``,
+        where *flag* puts a symbolic right row after a keyed left row's
+        bucket matches; sorting by that unique rank restores the order.
+        """
+        buckets = side.arrangement.buckets
+        symbolic = side.arrangement.symbolic
+        keyed = side.arrangement.keyed
+        conditions, fetch, indexed_rows = side.conditions, side.fetch, side.rows
+        instantiate = self.kernel.instantiate
+        index_right = self.build_side == "right"
+        keys = self.left_keys if index_right else self.right_keys
+        key_columns = [probe.columns[index] for index in keys]
+        probe_conditions = probe.conditions
+        every = range(len(conditions))
+        ranked = []
+        for p, values in enumerate(probe.rows()):
+            key = constant_key(key_columns, p)
+            candidates: Iterable[int] = (
+                every if key is None else chain(buckets.get(key, ()), symbolic)
+            )
+            probe_condition = probe_conditions[p]
+            for b in candidates:
+                condition = conditions[b]
+                if condition is None:
+                    condition = fetch(b)
+                if condition is BOTTOM:
+                    continue
+                if index_right:
+                    instantiated = instantiate(values + indexed_rows[b])
+                    if instantiated is not BOTTOM:
+                        condition = conj(probe_condition, condition, instantiated)
+                        if condition is not BOTTOM:
+                            ranked.append((p, 0, b, condition))
+                else:
+                    instantiated = instantiate(indexed_rows[b] + values)
+                    if instantiated is not BOTTOM:
+                        condition = conj(condition, probe_condition, instantiated)
+                        if condition is not BOTTOM:
+                            flag = 1 if key is None and keyed[b] else 0
+                            ranked.append((b, flag, p, condition))
+        if not index_right:
+            ranked.sort(key=lambda pair: pair[:3])
+        return [(i, j, condition) for i, _, j, condition in ranked]
+
     def label(self) -> str:
-        return f"HashJoin[{self.predicate!r}] build={self.build_side}"
+        arranged = " arranged" if scan_rooted(self.indexed()) else ""
+        return f"HashJoin[{self.predicate!r}] build={self.build_side}{arranged}"
 
 
 class ProductOp(PhysicalOp):
@@ -708,28 +735,12 @@ class ProductOp(PhysicalOp):
 
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         left, right = inputs
+        # conj per (left, right) condition pair, memoized: conditions
+        # are interned, so the keys hash by identity.
         memo: Dict[Tuple[Formula, Formula], Formula] = {}
-        pairs = self.pairs_range(left, right, memo, range(len(left)))
-        return self.seal(ctx, left, right, pairs)
-
-    @staticmethod
-    def pairs_range(
-        left: Batch,
-        right: Batch,
-        memo: Dict[Tuple[Formula, Formula], Formula],
-        rows: Iterable[int],
-    ) -> list:
-        """Pair a range of left rows with every right row, left-major.
-
-        *memo* caches ``conj`` per (left, right) condition pair for one
-        ``compute`` call; conditions are interned, so the keys hash by
-        identity.
-        """
         pairs = []
-        left_conditions = left.conditions
         right_conditions = right.conditions
-        for i in rows:
-            left_condition = left_conditions[i]
+        for i, left_condition in enumerate(left.conditions):
             for j, right_condition in enumerate(right_conditions):
                 key = (left_condition, right_condition)
                 condition = memo.get(key)
@@ -738,16 +749,7 @@ class ProductOp(PhysicalOp):
                     memo[key] = condition
                 if condition is not BOTTOM:
                     pairs.append((i, j, condition))
-        return pairs
-
-    def seal(
-        self,
-        ctx: ExecContext,
-        left: Batch,
-        right: Batch,
-        pairs: Sequence[_Pair],
-    ) -> Batch:
-        columns, conditions = _gather_pairs(left, right, pairs)
+        columns, conditions = _gather_pairs(left.columns, right.columns, pairs)
         domains, global_condition = merge_metadata(left, right)
         return _finish(
             ctx, columns, conditions, self.arity, domains, global_condition
@@ -805,8 +807,11 @@ class UnionOp(PhysicalOp):
 class _MembershipIndex:
     """The hash-bucket pairing of ``−̄``/``∩̄`` over a right batch.
 
-    All-constant right rows are bucketed by value tuple; rows with a
-    variable entry stay symbolic and pair with every left row.  The
+    All-constant right rows are bucketed by value tuple in the right
+    batch's :class:`~repro.physical.batch.Arrangement` on every column
+    (built once per table version when the right operand is a scan);
+    rows with a variable entry stay symbolic and pair with every left
+    row.  The
     relevant right rows for a left row come back *in original right
     order*, so the composed membership conditions are structurally
     identical to the lifted operators'.  The whole membership condition
@@ -814,31 +819,18 @@ class _MembershipIndex:
     rows (common after projections) pay for it once.
     """
 
-    __slots__ = ("right", "_rows", "_buckets", "_symbolic", "_memo")
+    __slots__ = ("right", "_rows", "_arrangement", "_memo")
 
     def __init__(self, right: Batch) -> None:
         self.right = right
-        self._rows = list(right.rows())
-        self._buckets: Dict[tuple, List[int]] = {}
-        self._symbolic: List[int] = []
-        for j in range(len(right)):
-            key = _constant_key(right.columns, range(right.arity), j)
-            if key is None:
-                self._symbolic.append(j)
-            else:
-                self._buckets.setdefault(key, []).append(j)
+        self._rows = right.row_tuples()
+        self._arrangement = right.arrangement(tuple(range(right.arity)))
         self._memo: Dict[tuple, Formula] = {}
 
     def _candidates(self, values: tuple) -> Sequence[int]:
         if any(not isinstance(term, Const) for term in values):
             return range(len(self.right))
-        key = tuple(term.value for term in values)
-        matched = self._buckets.get(key)
-        if matched is None:
-            return self._symbolic
-        if self._symbolic:
-            return sorted(matched + self._symbolic)
-        return matched
+        return self._arrangement.matching(tuple(term.value for term in values))
 
     def membership(self, values: tuple, negated: bool) -> Formula:
         """``⋀ ¬(ϕ_{t₂} ∧ t₁=t₂)`` or ``⋁ (ϕ_{t₂} ∧ t₁=t₂)`` for *values*.
@@ -889,26 +881,12 @@ class _SetDifferenceBase(PhysicalOp):
     def compute(self, ctx: ExecContext, inputs: Tuple[Batch, ...]) -> Batch:
         left, right = inputs
         index = _MembershipIndex(right)
-        keep, conditions = self.membership_range(
-            left, index, range(len(left.conditions))
-        )
-        return self.seal(ctx, left, right, keep, conditions)
-
-    def membership_range(
-        self, left: Batch, index: "_MembershipIndex", rows: Iterable[int]
-    ) -> Tuple[List[int], List[Formula]]:
-        """Compose membership conditions for a range of left rows.
-
-        *index* is built by the same ``compute`` call; its buckets are
-        read-only after construction and its membership memo fills as
-        distinct left value-tuples arrive.
-        """
         keep: List[int] = []
         conditions: List[Formula] = []
         left_columns = left.columns
         left_conditions = left.conditions
         negated = self._negated
-        for i in rows:
+        for i in range(len(left_conditions)):
             values = tuple(column[i] for column in left_columns)
             condition = conj(
                 left_conditions[i], index.membership(values, negated)
@@ -916,17 +894,7 @@ class _SetDifferenceBase(PhysicalOp):
             if condition is not BOTTOM:
                 keep.append(i)
                 conditions.append(condition)
-        return keep, conditions
-
-    def seal(
-        self,
-        ctx: ExecContext,
-        left: Batch,
-        right: Batch,
-        keep: Sequence[int],
-        conditions: Sequence[Formula],
-    ) -> Batch:
-        if len(keep) == len(left.conditions):
+        if len(keep) == len(left_conditions):
             columns: Sequence[Sequence[Term]] = left.columns
         else:
             columns = [
@@ -934,8 +902,7 @@ class _SetDifferenceBase(PhysicalOp):
             ]
         domains, global_condition = merge_metadata(left, right)
         return _finish(
-            ctx, columns, list(conditions), self.arity, domains,
-            global_condition,
+            ctx, columns, conditions, self.arity, domains, global_condition
         )
 
 

@@ -34,7 +34,7 @@ from typing import Dict, Hashable, Optional, Tuple
 
 from repro.errors import ProbabilityError
 from repro.logic.compile import CompiledCircuit, compile_condition
-from repro.logic.counting import Distributions, check_distributions
+from repro.logic.counting import Distributions, check_condition_distributions
 from repro.logic.syntax import Formula
 
 
@@ -110,7 +110,7 @@ def compile_probability(
     formula: Formula, distributions: Distributions
 ) -> CompiledCondition:
     """Compile *formula* under *distributions* into a weighted circuit."""
-    check_distributions(distributions)
+    check_condition_distributions(formula, distributions)
     supports = condition_supports(formula, distributions)
     weights = {
         name: {value: Fraction(distributions[name][value]) for value in support}

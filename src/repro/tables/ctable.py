@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Hashable,
@@ -44,6 +45,9 @@ from repro.logic.evaluation import evaluate, partial_evaluate
 from repro.logic.models import enumerate_valuations
 from repro.logic.syntax import BOTTOM, TOP, Formula, conj, walk
 from repro.tables.base import Table
+
+if TYPE_CHECKING:  # pragma: no cover - the physical layer sits above
+    from repro.physical.batch import Batch
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,9 @@ class CTable(Table):
         Extension: a condition every valuation must satisfy.
     """
 
-    __slots__ = ("_rows", "_arity", "_domains", "_global", "_vars_cache")
+    __slots__ = (
+        "_rows", "_arity", "_domains", "_global", "_vars_cache", "_scan_batch",
+    )
 
     system_name = "c-table"
 
@@ -162,6 +168,9 @@ class CTable(Table):
         self._arity = arity
         self._global = global_condition
         self._vars_cache: Optional[FrozenSet[str]] = None
+        #: The physical layer's columnar scan of this version, written
+        #: once by ``repro.physical.batch.Batch.of_table``.
+        self._scan_batch: Optional["Batch"] = None  # guarded-by: _MEMO_LOCK [writes]
         if domains is not None:
             domains = {name: tuple(values) for name, values in domains.items()}
             missing = self.variables() - set(domains)
@@ -205,6 +214,7 @@ class CTable(Table):
         table._arity = arity
         table._global = global_condition
         table._vars_cache = None
+        table._scan_batch = None
         table._domains = domains
         return table
 

@@ -233,8 +233,13 @@ class TestBuildSideSelection:
         return {"L": big, "R": small}
 
     def test_build_side_follows_estimates(self):
+        # Inputs that are not scan-rooted (projections): the smaller one
+        # is indexed, materialized for this execution.
         tables = self._tables()
-        query = sel(prod(rel("L", 2), rel("R", 2)), col_eq(1, 2))
+        query = sel(
+            prod(proj(rel("L", 2), [1, 0]), proj(rel("R", 2), [1, 0])),
+            col_eq(0, 3),
+        )
         plan = plan_for_query(query, tables, optimize=True)
         lowered = lower(plan, collect_stats(tables))
         joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
@@ -243,6 +248,22 @@ class TestBuildSideSelection:
         lowered = lower(plan, collect_stats(swapped))
         joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
         assert joins and joins[0].build_side == "left"
+        assert "arranged" not in joins[0].label()
+
+    def test_scan_rooted_larger_side_is_indexed(self):
+        # Scan-rooted inputs: the larger one is indexed through the
+        # arrangement cached on its table, and the smaller one probes.
+        tables = self._tables()
+        query = sel(prod(rel("L", 2), rel("R", 2)), col_eq(1, 2))
+        plan = plan_for_query(query, tables, optimize=True)
+        lowered = lower(plan, collect_stats(tables))
+        joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
+        assert joins and joins[0].build_side == "left"  # L is larger
+        assert joins[0].label().endswith("arranged")
+        swapped = {"L": self._tables()["R"], "R": self._tables()["L"]}
+        lowered = lower(plan, collect_stats(swapped))
+        joins = [op for op in lowered.walk() if isinstance(op, HashJoinOp)]
+        assert joins and joins[0].build_side == "right"
 
     def test_both_build_sides_identical_rows(self):
         tables = self._tables()
